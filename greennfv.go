@@ -174,14 +174,6 @@ type TrainOptions struct {
 	// ReplayShards overrides the parallel replay's lock-stripe count
 	// (0 = auto).
 	ReplayShards int
-	// Float32 runs the learner's updates through the single-precision
-	// NN fast path (8-lane AVX2 kernels, ~1.3x the update rate) when
-	// combined with Parallel or RemoteActors. The deployed policy is
-	// converted back to float64 when training ends; deviation from the
-	// f64 update is bounded by the ddpg parity test (max |ΔQ| well
-	// under 1e-3). Ignored by the default deterministic mode, which
-	// stays byte-reproducible.
-	Float32 bool
 	// SamplesPerInsert, when positive, paces the learner against the
 	// actors in the asynchronous modes (Parallel, RemoteActors): at
 	// most SamplesPerInsert replay samples are consumed per inserted
@@ -234,7 +226,6 @@ func (s *System) Train(agreement SLA, opts TrainOptions) (*Policy, error) {
 	g := control.NewGreenNFV(agreement.spec, opts.Steps, actors, s.cfg.Seed)
 	g.Parallel = opts.Parallel
 	g.ReplayShards = opts.ReplayShards
-	g.Float32 = opts.Float32
 	g.SamplesPerInsert = opts.SamplesPerInsert
 	g.CheckpointPath = opts.Checkpoint
 	g.CheckpointEvery = opts.CheckpointEvery

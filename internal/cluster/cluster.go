@@ -297,7 +297,8 @@ func (t *Topology) EvaluateCluster(w *Workload, knobs [][]perfmodel.NFKnobs, ass
 // A node hosting exactly one chain reproduces the single-node
 // perfmodel path bit-for-bit: the chain's knobs pass through
 // untouched and the node totals are copied from the chain result, so
-// a 1-node homogeneous cluster is byte-identical to internal/node.
+// a 1-node homogeneous cluster is byte-identical to the single-node
+// path.
 // Co-located chains (k > 1) share the node: their LLC fractions are
 // rescaled node-wide when oversubscribed (CAT partitioning across
 // chains, the same rule EvaluateInto applies within one chain) and

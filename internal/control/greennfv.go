@@ -31,10 +31,6 @@ type GreenNFV struct {
 	// ReplayShards overrides the parallel mode's replay lock-stripe
 	// count (0 = auto).
 	ReplayShards int
-	// Float32 runs learner updates through the single-precision NN
-	// fast path in the Parallel/RemoteActors modes (ignored by the
-	// deterministic round-robin mode). See apex.TrainerConfig.Float32.
-	Float32 bool
 	// SamplesPerInsert caps replay samples consumed per transition
 	// inserted in the asynchronous modes (0 = unpaced). See
 	// apex.TrainerConfig.SamplesPerInsert.
@@ -108,7 +104,6 @@ func (g *GreenNFV) Prepare(factory EnvFactory) error {
 	}
 	cfg.Parallel = g.Parallel
 	cfg.ReplayShards = g.ReplayShards
-	cfg.Float32 = g.Float32
 	cfg.SamplesPerInsert = g.SamplesPerInsert
 	cfg.RemoteActors = g.RemoteActors
 	cfg.SpawnRemote = g.SpawnRemote

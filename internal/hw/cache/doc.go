@@ -20,6 +20,6 @@
 // # Concurrency and determinism
 //
 // Pure state machines with no RNG and no goroutine-safety: a CAT
-// controller belongs to one node.Node, and all queries are
-// deterministic functions of the configured bitmasks.
+// controller belongs to one owner, and all queries are deterministic
+// functions of the configured bitmasks.
 package cache

@@ -16,6 +16,6 @@
 // # Concurrency and determinism
 //
 // Deterministic, RNG-free state machines; NOT goroutine-safe. A
-// Processor and its share scheduler belong to one node.Node, which
+// Processor and its share scheduler belong to one owner, which
 // serializes access.
 package cpu

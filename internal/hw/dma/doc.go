@@ -18,5 +18,5 @@
 // # Concurrency and determinism
 //
 // Pure functions and plain value types: deterministic, RNG-free,
-// safe to share read-only; mutation is owned by one node.Node.
+// safe to share read-only; mutation is owned by one caller.
 package dma

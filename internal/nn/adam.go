@@ -19,14 +19,6 @@ type Adam struct {
 	t int
 	m [][]float64
 	v [][]float64
-
-	// float32-path state (StepF32): separate step counter and moment
-	// estimates, so one optimizer drives either the f64 or the f32
-	// parameters of a network but never mixes moments across
-	// precisions.
-	t32 int
-	m32 [][]float32
-	v32 [][]float32
 }
 
 // NewAdam builds an optimizer with standard hyperparameters.
@@ -101,99 +93,28 @@ func (a *Adam) Step(n *Network) {
 	}
 }
 
-// StepF32 applies one update to the network's float32 parameter
-// mirrors from its accumulated float32 gradients — the f32 fast
-// path's optimizer step. The network must have EnableF32 applied; the
-// caller is responsible for ZeroGradF32 afterwards. Norm and bias
-// corrections are computed in float64 (cheap, and the squared-norm
-// accumulation would otherwise lose precision over thousands of
-// gradient entries); the per-parameter update runs in float32.
-func (a *Adam) StepF32(n *Network) {
-	params := n.ParamSlicesF32()
-	grads := n.GradSlicesF32()
-	if a.m32 == nil {
-		a.m32 = make([][]float32, len(params))
-		a.v32 = make([][]float32, len(params))
-		for i := range params {
-			a.m32[i] = make([]float32, len(params[i]))
-			a.v32[i] = make([]float32, len(params[i]))
-		}
-	}
-	if a.ClipNorm > 0 {
-		var norm float64
-		for i := range grads {
-			for _, g := range grads[i] {
-				norm += float64(g) * float64(g)
-			}
-		}
-		norm = math.Sqrt(norm)
-		if norm > a.ClipNorm {
-			scale := float32(a.ClipNorm / norm)
-			for i := range grads {
-				if useSIMD && len(grads[i]) > 0 {
-					scaleasmf32(scale, &grads[i][0], len(grads[i]))
-					continue
-				}
-				for j := range grads[i] {
-					grads[i][j] *= scale
-				}
-			}
-		}
-	}
-	a.t32++
-	b1c := float32(1 - math.Pow(a.Beta1, float64(a.t32)))
-	b2c := float32(1 - math.Pow(a.Beta2, float64(a.t32)))
-	beta1, beta2 := float32(a.Beta1), float32(a.Beta2)
-	lr, eps := float32(a.LR), float32(a.Epsilon)
-	for i := range params {
-		p, g, m, v := params[i], grads[i], a.m32[i], a.v32[i]
-		if useSIMD && len(p) > 0 {
-			adamasmf32(&p[0], &g[0], &m[0], &v[0], len(p),
-				beta1, beta2, lr, eps, b1c, b2c)
-			continue
-		}
-		for j := range p {
-			m[j] = beta1*m[j] + (1-beta1)*g[j]
-			v[j] = beta2*v[j] + (1-beta2)*g[j]*g[j]
-			mHat := m[j] / b1c
-			vHat := v[j] / b2c
-			p[j] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + eps)
-		}
-	}
-}
-
 // Reset clears moment estimates (e.g. after loading a checkpoint).
 func (a *Adam) Reset() {
 	a.t = 0
 	a.m, a.v = nil, nil
-	a.t32 = 0
-	a.m32, a.v32 = nil, nil
 }
 
-// AdamState is the serializable optimizer state: the step counters and
-// first/second moment estimates of both precisions. Together with the
-// network parameters it is everything a checkpoint needs to make the
-// next optimizer step bit-identical to an uninterrupted run.
+// AdamState is the serializable optimizer state: the step counter and
+// first/second moment estimates. Together with the network parameters
+// it is everything a checkpoint needs to make the next optimizer step
+// bit-identical to an uninterrupted run.
 type AdamState struct {
 	T    int
 	M, V [][]float64
-	// Float32-path moments (StepF32); empty when the f32 path never
-	// ran.
-	T32      int
-	M32, V32 [][]float32
 }
 
 // State deep-copies the optimizer's moment estimates for
 // checkpointing. A fresh optimizer returns a zero state.
 func (a *Adam) State() AdamState {
-	st := AdamState{T: a.t, T32: a.t32}
+	st := AdamState{T: a.t}
 	for i := range a.m {
 		st.M = append(st.M, append([]float64(nil), a.m[i]...))
 		st.V = append(st.V, append([]float64(nil), a.v[i]...))
-	}
-	for i := range a.m32 {
-		st.M32 = append(st.M32, append([]float32(nil), a.m32[i]...))
-		st.V32 = append(st.V32, append([]float32(nil), a.v32[i]...))
 	}
 	return st
 }
@@ -203,7 +124,7 @@ func (a *Adam) State() AdamState {
 // its parameter slices exactly (a zero state matches any network — it
 // restores a fresh optimizer).
 func (a *Adam) SetState(st AdamState, n *Network) error {
-	if len(st.M) != len(st.V) || len(st.M32) != len(st.V32) {
+	if len(st.M) != len(st.V) {
 		return errors.New("nn: adam state m/v length mismatch")
 	}
 	if n != nil && st.M != nil {
@@ -217,16 +138,11 @@ func (a *Adam) SetState(st AdamState, n *Network) error {
 			}
 		}
 	}
-	a.t, a.t32 = st.T, st.T32
+	a.t = st.T
 	a.m, a.v = nil, nil
 	for i := range st.M {
 		a.m = append(a.m, append([]float64(nil), st.M[i]...))
 		a.v = append(a.v, append([]float64(nil), st.V[i]...))
-	}
-	a.m32, a.v32 = nil, nil
-	for i := range st.M32 {
-		a.m32 = append(a.m32, append([]float32(nil), st.M32[i]...))
-		a.v32 = append(a.v32, append([]float32(nil), st.V32[i]...))
 	}
 	return nil
 }

@@ -193,32 +193,29 @@ func (d *Dense) ForwardBatch(x []float64, rows int) []float64 {
 // ForwardBatch, accumulates dW/dB over the whole minibatch, and
 // returns dL/dX ([rows × In], owned by the layer).
 func (d *Dense) BackwardBatch(dY []float64, rows int) []float64 {
-	return d.backwardBatch(dY, rows, true, rows)
+	return d.backwardBatch(dY, rows, true, true)
 }
 
 // backwardBatch is the shared backward kernel: parameter gradients
-// accumulate from the first gradRows rows only (0 = none, rows = the
-// whole minibatch), dX is computed for every row when needDX. The
-// split is what lets the fused DDPG learn step push a regression
-// half-batch and an action-gradient half-batch through one pass.
-func (d *Dense) backwardBatch(dY []float64, rows int, needDX bool, gradRows int) []float64 {
+// accumulate over every row when needParams, and dX is computed for
+// every row when needDX.
+func (d *Dense) backwardBatch(dY []float64, rows int, needDX, needParams bool) []float64 {
 	if len(dY) < rows*d.Out {
 		panic("nn: BackwardBatch gradient shorter than rows*Out")
 	}
-	if gradRows > rows {
-		gradRows = rows
-	}
 	d.bdz = grow(d.bdz, rows*d.Out)
 	derivBatch(d.Act, dY[:rows*d.Out], d.bz, d.by, d.bdz)
-	for r := 0; r < gradRows; r++ {
-		dzr := d.bdz[r*d.Out : (r+1)*d.Out]
-		xr := d.bx[r*d.In : (r+1)*d.In]
-		for o, dz := range dzr {
-			if dz == 0 {
-				continue // ReLU zeros are common; skip the row work
+	if needParams {
+		for r := 0; r < rows; r++ {
+			dzr := d.bdz[r*d.Out : (r+1)*d.Out]
+			xr := d.bx[r*d.In : (r+1)*d.In]
+			for o, dz := range dzr {
+				if dz == 0 {
+					continue // ReLU zeros are common; skip the row work
+				}
+				d.dB[o] += dz
+				axpyFast(dz, xr, d.dW[o*d.In:(o+1)*d.In])
 			}
-			d.dB[o] += dz
-			axpyFast(dz, xr, d.dW[o*d.In:(o+1)*d.In])
 		}
 	}
 	if !needDX {
@@ -275,14 +272,14 @@ func (n *Network) ForwardBatch(x []float64, rows int) []float64 {
 // parameter gradients over the minibatch, and returns dL/dInput
 // ([rows × InputDim]).
 func (n *Network) BackwardBatch(dOut []float64, rows int) []float64 {
-	return n.backwardBatch(dOut, rows, true, rows)
+	return n.backwardBatch(dOut, rows, true, true)
 }
 
 // BackwardBatchParams is BackwardBatch for callers that only need
 // parameter gradients: the first layer's input gradient — pure
 // overhead in a critic or actor regression step — is skipped.
 func (n *Network) BackwardBatchParams(dOut []float64, rows int) {
-	n.backwardBatch(dOut, rows, false, rows)
+	n.backwardBatch(dOut, rows, false, true)
 }
 
 // BackwardBatchInput propagates input gradients WITHOUT accumulating
@@ -290,27 +287,14 @@ func (n *Network) BackwardBatchParams(dOut []float64, rows int) {
 // through the critic and then throws the critic's own gradients
 // away, so not computing them saves half the pass.
 func (n *Network) BackwardBatchInput(dOut []float64, rows int) []float64 {
-	return n.backwardBatch(dOut, rows, true, 0)
+	return n.backwardBatch(dOut, rows, true, false)
 }
 
-// BackwardBatchSplit propagates dL/dOutput for ALL rows of the
-// preceding ForwardBatch but accumulates parameter gradients from the
-// FIRST gradRows rows only, returning dL/dInput for every row. It is
-// the fused DDPG critic pass: rows [0, gradRows) carry the critic
-// regression (their parameter gradients are kept, per-row identical
-// to a separate BackwardBatchParams call), rows [gradRows, rows)
-// carry dQ/da probes whose input gradients flow to the actor (per-row
-// identical to a separate BackwardBatchInput call). One pass replaces
-// two, transposing each weight matrix once instead of twice.
-func (n *Network) BackwardBatchSplit(dOut []float64, rows, gradRows int) []float64 {
-	return n.backwardBatch(dOut, rows, true, gradRows)
-}
-
-func (n *Network) backwardBatch(dOut []float64, rows int, needInputDX bool, gradRows int) []float64 {
+func (n *Network) backwardBatch(dOut []float64, rows int, needInputDX, needParams bool) []float64 {
 	d := dOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		needDX := i > 0 || needInputDX
-		d = n.layers[i].backwardBatch(d, rows, needDX, gradRows)
+		d = n.layers[i].backwardBatch(d, rows, needDX, needParams)
 	}
 	return d
 }

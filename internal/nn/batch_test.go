@@ -82,6 +82,60 @@ func TestBackwardBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestBackwardBatchParamsInputParity pins the two partial backward
+// passes against the full BackwardBatch, bit for bit:
+// BackwardBatchParams must accumulate the same parameter gradients,
+// and BackwardBatchInput must return the same input gradients while
+// leaving the parameter gradients untouched.
+func TestBackwardBatchParamsInputParity(t *testing.T) {
+	const rows = 9
+	sizes := []int{7, 16, 16, 3}
+	build := func() *Network {
+		return MustMLP(sizes, ReLU, Linear, rand.New(rand.NewSource(42)))
+	}
+	rng := rand.New(rand.NewSource(9))
+	x := make([]float64, rows*sizes[0])
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	dY := make([]float64, rows*sizes[len(sizes)-1])
+	for i := range dY {
+		dY[i] = rng.NormFloat64()
+	}
+
+	full := build()
+	full.ForwardBatch(x, rows)
+	full.ZeroGrad()
+	wantDX := full.BackwardBatch(dY, rows)
+
+	params := build()
+	params.ForwardBatch(x, rows)
+	params.ZeroGrad()
+	params.BackwardBatchParams(dY, rows)
+
+	input := build()
+	input.ForwardBatch(x, rows)
+	input.ZeroGrad()
+	dX := input.BackwardBatchInput(dY, rows)
+
+	for i := range wantDX {
+		if dX[i] != wantDX[i] {
+			t.Fatalf("dX[%d]: BackwardBatchInput %v, BackwardBatch %v", i, dX[i], wantDX[i])
+		}
+	}
+	want, got, none := full.GradSlices(), params.GradSlices(), input.GradSlices()
+	for li := range want {
+		for j := range want[li] {
+			if got[li][j] != want[li][j] {
+				t.Fatalf("grad %d[%d]: BackwardBatchParams %v, BackwardBatch %v", li, j, got[li][j], want[li][j])
+			}
+			if none[li][j] != 0 {
+				t.Fatalf("grad %d[%d]: BackwardBatchInput accumulated %v", li, j, none[li][j])
+			}
+		}
+	}
+}
+
 // The batch path must handle a shrinking then growing batch without
 // reading stale cache rows.
 func TestBatchSizeChanges(t *testing.T) {

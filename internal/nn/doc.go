@@ -22,26 +22,13 @@
 // and FMA contraction rounds differently than the scalar code — so
 // results are reproducible on a given machine but may differ in the
 // last bits across machines with different vector support. The
-// batch passes (ForwardBatch/BackwardBatch and the BackwardBatchSplit
-// variant) allocate nothing in steady state; scalar Backward is also
+// batch passes (ForwardBatch, BackwardBatch and its Params/Input
+// variants) allocate nothing in steady state; scalar Backward is also
 // allocation-free.
 //
-// # Float32 fast path
+// # Precision
 //
-// The batch engine has a single-precision mirror (batch32.go): f32
-// AVX2+FMA kernels with 8 lanes per register instead of 4, halving
-// memory traffic on the dot-kernel-bound learn step. The path is an
-// explicit opt-in with a snapshot/flush contract: EnableF32 copies
-// the f64 weights into f32 mirrors, the *F32 passes, Adam.StepF32 and
-// SoftUpdateF32 then treat the mirrors as the authoritative weights,
-// and FlushF32 writes them back for serialization and scalar f64
-// inference. Determinism: the f32 path is deterministic given the
-// seed on a fixed CPU feature set (same caveat as f64), but it is NOT
-// bit-comparable to the f64 path and makes no parity promise beyond
-// the quantified bound in the ddpg package's f32-vs-f64 test; the
-// activation functions may use faster float32 approximations
-// (tanh32). Nothing on the f64 path reads the mirrors, so the
-// deterministic f64 figure path is unaffected by f32 use elsewhere.
-// The f32 batch passes, optimizer step and soft-update are zero-alloc
-// in steady state, pinned by TestF32ZeroAllocSteadyState.
+// Every pass, kernel and optimizer step runs in float64: one batch
+// engine serves training and batched inference alike, and the
+// recorded figures depend on its exact rounding.
 package nn

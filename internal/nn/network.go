@@ -90,12 +90,6 @@ type Dense struct {
 	// the largest minibatch seen; wt is the transposed weight copy
 	// the batched backward uses for input gradients.
 	bx, bz, by, bdz, bdx, wt []float64
-	// float32 fast-path state (batch32.go): w32/b32 mirror W/B while
-	// the f32 path is active, dW32/dB32 accumulate f32 gradients, and
-	// the remaining slices are the f32 batch caches and scratch.
-	// Allocated by EnableF32; nil on the f64-only path.
-	w32, b32, dW32, dB32                 []float32
-	bx32, bz32, by32, bdz32, bdx32, wt32 []float32
 }
 
 // newDense builds a layer with Xavier/Glorot-uniform weights.
@@ -158,8 +152,6 @@ type Network struct {
 	// cached ParamSlices/GradSlices headers (the layer buffers they
 	// point at never move), so optimizer steps don't allocate.
 	pSlices, gSlices [][]float64
-	// float32 mirrors of the two caches, populated by EnableF32.
-	pSlices32, gSlices32 [][]float32
 }
 
 // NewMLP builds a multilayer perceptron with the given layer sizes
@@ -383,7 +375,6 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 	}
 	n.layers = nil
 	n.pSlices, n.gSlices = nil, nil
-	n.pSlices32, n.gSlices32 = nil, nil
 	for i := 0; i < len(st.Sizes)-1; i++ {
 		in, out := st.Sizes[i], st.Sizes[i+1]
 		if len(st.W[i]) != in*out || len(st.B[i]) != out {

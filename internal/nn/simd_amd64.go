@@ -19,23 +19,6 @@ func axpbyasm(tau float64, x, y *float64, n int)
 //go:noescape
 func scaleasm(f float64, x *float64, n int)
 
-// float32 kernels (8 lanes per YMM instead of 4).
-
-//go:noescape
-func dot4asmf32(w, x0, x1, x2, x3 *float32, n int) (s0, s1, s2, s3 float32)
-
-//go:noescape
-func axpyasmf32(alpha float32, x, y *float32, n int)
-
-//go:noescape
-func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)
-
-//go:noescape
-func axpbyasmf32(tau float32, x, y *float32, n int)
-
-//go:noescape
-func scaleasmf32(f float32, x *float32, n int)
-
 func cpuidx(leaf, sub uint32) (a, b, c, d uint32)
 
 func xgetbv0() (eax, edx uint32)

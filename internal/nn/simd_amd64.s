@@ -326,315 +326,3 @@ scalestail:
 scaledone:
 	VZEROUPPER
 	RET
-
-// ---- float32 kernels: same structure as the float64 kernels above,
-// with 8 lanes per YMM register instead of 4 and PS/SS arithmetic.
-// The f32 path has no bit-parity contract with the pure-Go fallbacks
-// (FMA contraction and reassociated sums round differently); the
-// reference implementations live in batch32.go.
-
-// func dot4asmf32(w, x0, x1, x2, x3 *float32, n int) (s0, s1, s2, s3 float32)
-//
-// Four simultaneous f32 dot products of one weight row against four
-// input rows, 8 elements per iteration.
-TEXT ·dot4asmf32(SB), NOSPLIT, $0-64
-	MOVQ w+0(FP), SI
-	MOVQ x0+8(FP), R8
-	MOVQ x1+16(FP), R9
-	MOVQ x2+24(FP), R10
-	MOVQ x3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   f32reduce
-
-f32vloop:
-	VMOVUPS (SI), Y4
-	VFMADD231PS (R8), Y4, Y0
-	VFMADD231PS (R9), Y4, Y1
-	VFMADD231PS (R10), Y4, Y2
-	VFMADD231PS (R11), Y4, Y3
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ DX
-	JNZ  f32vloop
-
-f32reduce:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPS  X5, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VEXTRACTF128 $1, Y1, X5
-	VADDPS  X5, X1, X1
-	VHADDPS X1, X1, X1
-	VHADDPS X1, X1, X1
-	VEXTRACTF128 $1, Y2, X5
-	VADDPS  X5, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
-	VEXTRACTF128 $1, Y3, X5
-	VADDPS  X5, X3, X3
-	VHADDPS X3, X3, X3
-	VHADDPS X3, X3, X3
-	ANDQ $7, CX
-	JZ   f32done
-
-f32stail:
-	VMOVSS (SI), X4
-	VMOVSS (R8), X5
-	VFMADD231SS X5, X4, X0
-	VMOVSS (R9), X5
-	VFMADD231SS X5, X4, X1
-	VMOVSS (R10), X5
-	VFMADD231SS X5, X4, X2
-	VMOVSS (R11), X5
-	VFMADD231SS X5, X4, X3
-	ADDQ $4, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ CX
-	JNZ  f32stail
-
-f32done:
-	VMOVSS X0, s0+48(FP)
-	VMOVSS X1, s1+52(FP)
-	VMOVSS X2, s2+56(FP)
-	VMOVSS X3, s3+60(FP)
-	VZEROUPPER
-	RET
-
-// func axpyasmf32(alpha float32, x, y *float32, n int)
-//
-// y[0:n] += alpha * x[0:n], 16 floats per main-loop iteration.
-TEXT ·axpyasmf32(SB), NOSPLIT, $0-32
-	VBROADCASTSS alpha+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ CX, DX
-	SHRQ $4, DX
-	JZ   f32ax8
-
-f32ax16loop:
-	VMOVUPS (DI), Y1
-	VMOVUPS 32(DI), Y2
-	VFMADD231PS (SI), Y0, Y1
-	VFMADD231PS 32(SI), Y0, Y2
-	VMOVUPS Y1, (DI)
-	VMOVUPS Y2, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ DX
-	JNZ  f32ax16loop
-
-f32ax8:
-	TESTQ $8, CX
-	JZ f32axtail
-	VMOVUPS (DI), Y1
-	VFMADD231PS (SI), Y0, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-
-f32axtail:
-	ANDQ $7, CX
-	JZ   f32axdone
-
-f32axstail:
-	VMOVSS (DI), X1
-	VMOVSS (SI), X2
-	VFMADD231SS X2, X0, X1
-	VMOVSS X1, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  f32axstail
-
-f32axdone:
-	VZEROUPPER
-	RET
-
-// func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)
-//
-// One Adam update over a float32 parameter slice, 8 floats per
-// iteration. Mirrors the StepF32 scalar loop (no FMA contraction in
-// the EMA updates); VSQRTSS/VSQRTPS round once where the Go fallback
-// rounds through float64, a ≤1-ulp difference the f32 contract
-// allows.
-TEXT ·adamasmf32(SB), NOSPLIT, $0-64
-	MOVQ p+0(FP), DI
-	MOVQ grad+8(FP), SI
-	MOVQ m+16(FP), R8
-	MOVQ v+24(FP), R9
-	MOVQ n+32(FP), CX
-	VBROADCASTSS beta1+40(FP), Y8
-	VBROADCASTSS beta2+44(FP), Y9
-	VBROADCASTSS lr+48(FP), Y10
-	VBROADCASTSS eps+52(FP), Y11
-	VBROADCASTSS b1c+56(FP), Y12
-	VBROADCASTSS b2c+60(FP), Y13
-	// Y14 = 1-beta1, Y15 = 1-beta2
-	MOVL $0x3F800000, AX // 1.0f
-	MOVL AX, X0
-	VBROADCASTSS X0, Y0
-	VSUBPS Y8, Y0, Y14
-	VSUBPS Y9, Y0, Y15
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   f32adamtail
-
-f32adamloop:
-	VMOVUPS (SI), Y1            // g
-	VMOVUPS (R8), Y2            // m
-	VMOVUPS (R9), Y3            // v
-	VMULPS Y8, Y2, Y2           // beta1*m
-	VMULPS Y14, Y1, Y4          // (1-beta1)*g
-	VADDPS Y4, Y2, Y2           // m'
-	VMULPS Y15, Y1, Y4          // (1-beta2)*g
-	VMULPS Y1, Y4, Y4           // (1-beta2)*g*g
-	VMULPS Y9, Y3, Y3           // beta2*v
-	VADDPS Y4, Y3, Y3           // v'
-	VMOVUPS Y2, (R8)
-	VMOVUPS Y3, (R9)
-	VDIVPS Y12, Y2, Y5          // mHat = m'/b1c
-	VDIVPS Y13, Y3, Y6          // vHat = v'/b2c
-	VSQRTPS Y6, Y6
-	VADDPS Y11, Y6, Y6          // sqrt(vHat)+eps
-	VMULPS Y10, Y5, Y5          // lr*mHat
-	VDIVPS Y6, Y5, Y5           // step
-	VMOVUPS (DI), Y7
-	VSUBPS Y5, Y7, Y7
-	VMOVUPS Y7, (DI)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	DECQ DX
-	JNZ  f32adamloop
-
-f32adamtail:
-	ANDQ $7, CX
-	JZ   f32adamdone
-
-f32adamstail:
-	VMOVSS (SI), X1
-	VMOVSS (R8), X2
-	VMOVSS (R9), X3
-	VMULSS X8, X2, X2
-	VMULSS X14, X1, X4
-	VADDSS X4, X2, X2
-	VMULSS X15, X1, X4
-	VMULSS X1, X4, X4
-	VMULSS X9, X3, X3
-	VADDSS X4, X3, X3
-	VMOVSS X2, (R8)
-	VMOVSS X3, (R9)
-	VDIVSS X12, X2, X5
-	VDIVSS X13, X3, X6
-	VSQRTSS X6, X6, X6
-	VADDSS X11, X6, X6
-	VMULSS X10, X5, X5
-	VDIVSS X6, X5, X5
-	VMOVSS (DI), X7
-	VSUBSS X5, X7, X7
-	VMOVSS X7, (DI)
-	ADDQ $4, DI
-	ADDQ $4, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	DECQ CX
-	JNZ  f32adamstail
-
-f32adamdone:
-	VZEROUPPER
-	RET
-
-// func axpbyasmf32(tau float32, x, y *float32, n int)
-//
-// y = tau*x + (1-tau)*y — the f32 soft-update kernel.
-TEXT ·axpbyasmf32(SB), NOSPLIT, $0-32
-	VBROADCASTSS tau+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-	// Y8 = 1-tau
-	MOVL $0x3F800000, AX
-	MOVL AX, X1
-	VBROADCASTSS X1, Y1
-	VSUBPS Y0, Y1, Y8
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   f32axpbytail
-
-f32axpbyloop:
-	VMULPS (SI), Y0, Y2         // tau*x
-	VMULPS (DI), Y8, Y3         // (1-tau)*y
-	VADDPS Y3, Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ DX
-	JNZ  f32axpbyloop
-
-f32axpbytail:
-	ANDQ $7, CX
-	JZ   f32axpbydone
-
-f32axpbystail:
-	VMOVSS (SI), X2
-	VMULSS X0, X2, X2
-	VMOVSS (DI), X3
-	VMULSS X8, X3, X3
-	VADDSS X3, X2, X2
-	VMOVSS X2, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  f32axpbystail
-
-f32axpbydone:
-	VZEROUPPER
-	RET
-
-// func scaleasmf32(f float32, x *float32, n int)
-//
-// x *= f.
-TEXT ·scaleasmf32(SB), NOSPLIT, $0-24
-	VBROADCASTSS f+0(FP), Y0
-	MOVQ x+8(FP), DI
-	MOVQ n+16(FP), CX
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   f32scaletail
-
-f32scaleloop:
-	VMULPS (DI), Y0, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ $32, DI
-	DECQ DX
-	JNZ  f32scaleloop
-
-f32scaletail:
-	ANDQ $7, CX
-	JZ   f32scaledone
-
-f32scalestail:
-	VMOVSS (DI), X1
-	VMULSS X0, X1, X1
-	VMOVSS X1, (DI)
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  f32scalestail
-
-f32scaledone:
-	VZEROUPPER
-	RET

@@ -25,23 +25,3 @@ func axpbyasm(tau float64, x, y *float64, n int) {
 func scaleasm(f float64, x *float64, n int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
-
-func dot4asmf32(w, x0, x1, x2, x3 *float32, n int) (s0, s1, s2, s3 float32) {
-	panic("nn: SIMD kernel on non-amd64")
-}
-
-func axpyasmf32(alpha float32, x, y *float32, n int) {
-	panic("nn: SIMD kernel on non-amd64")
-}
-
-func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32) {
-	panic("nn: SIMD kernel on non-amd64")
-}
-
-func axpbyasmf32(tau float32, x, y *float32, n int) {
-	panic("nn: SIMD kernel on non-amd64")
-}
-
-func scaleasmf32(f float32, x *float32, n int) {
-	panic("nn: SIMD kernel on non-amd64")
-}

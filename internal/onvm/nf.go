@@ -3,6 +3,7 @@ package onvm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -48,7 +49,7 @@ type NFStats struct {
 	RxPackets   atomic.Uint64
 	TxPackets   atomic.Uint64
 	Dropped     atomic.Uint64 // verdict drops
-	RingDrops   atomic.Uint64 // downstream ring full
+	RingDrops   atomic.Uint64 // downstream ring full while stopping
 	Wakeups     atomic.Uint64
 	PollRounds  atomic.Uint64
 	EmptyPolls  atomic.Uint64
@@ -153,10 +154,26 @@ func (nf *NF) deliver(m *Mbuf) bool {
 	return true
 }
 
+// forward hands m to the next stage with back-pressure: while the
+// downstream ring is full it yields and retries, so a chain completes
+// every packet it accepted. It gives up, reporting false, only once
+// done is closed and the NF is stopping.
+func (nf *NF) forward(m *Mbuf, done <-chan struct{}) bool {
+	for !nf.next.deliver(m) {
+		select {
+		case <-done:
+			return false
+		default:
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
 // processBurst dequeues and handles up to one batch, forwarding
 // survivors downstream (or freeing them at the chain tail). It
 // reports the number of packets taken off the ring.
-func (nf *NF) processBurst(scratch []*Mbuf) int {
+func (nf *NF) processBurst(scratch []*Mbuf, done <-chan struct{}) int {
 	b := nf.Batch()
 	if b > len(scratch) {
 		b = len(scratch)
@@ -182,7 +199,7 @@ func (nf *NF) processBurst(scratch []*Mbuf) int {
 			m.Free()
 			continue
 		}
-		if !nf.next.deliver(m) {
+		if !nf.forward(m, done) {
 			nf.stats.RingDrops.Add(1)
 			m.Free()
 			continue

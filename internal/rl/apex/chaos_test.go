@@ -194,7 +194,8 @@ func chaosCmd(t *testing.T, env map[string]string) *exec.Cmd {
 //
 //  1. Phase 1 trains with a lossy/laggy proxy between actors and
 //     learner while actor rank 1 crashes and is respawned; the parent
-//     waits for an interval checkpoint, then SIGKILLs the trainer.
+//     waits for rank 1's crash marker and an interval checkpoint
+//     carrying updates, then SIGKILLs the trainer.
 //  2. The parent restores the surviving checkpoint in-process and
 //     hashes the weights.
 //  3. Phase 2 resumes from that checkpoint and must finish the FULL
@@ -219,7 +220,10 @@ func TestChaosKillResume(t *testing.T) {
 	cfg := chaosConfig(bin, ckpt, mark)
 	budget := cfg.LearnPerStep * (cfg.TotalSteps - cfg.WarmupSteps)
 
-	// Phase 1: run until the first checkpoint lands, then SIGKILL.
+	// Phase 1: run until rank 1's injected crash has fired and a
+	// checkpoint with updates has landed, then SIGKILL. Waiting on the
+	// checkpoint alone races the crash: the first interval checkpoint
+	// can land before rank 1 reaches its crash step.
 	phase1 := chaosCmd(t, env)
 	if err := phase1.Start(); err != nil {
 		t.Fatal(err)
@@ -228,10 +232,12 @@ func TestChaosKillResume(t *testing.T) {
 	deadline := time.Now().Add(90 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatal("phase 1 produced no checkpoint within 90s")
+			t.Fatal("phase 1 produced no crash marker and checkpoint within 90s")
 		}
-		if ck, err := ReadCheckpoint(ckpt); err == nil && ck.Updates > 0 {
-			break
+		if _, err := os.Stat(mark); err == nil {
+			if ck, err := ReadCheckpoint(ckpt); err == nil && ck.Updates > 0 {
+				break
+			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -2,11 +2,13 @@ package apex
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"greennfv/internal/rl/ddpg"
+	"greennfv/internal/rl/replay"
 	"greennfv/internal/sla"
 )
 
@@ -72,12 +74,77 @@ func TestWriteReadCheckpoint(t *testing.T) {
 	}
 }
 
+// legacyAdamState is nn.AdamState as checkpoints wrote it while the
+// learner also had a single-precision path: T32/M32/V32 carried that
+// path's step counter and moments. Gob sends every float as a float64,
+// so [][]float64 here puts the same fields on the wire.
+type legacyAdamState struct {
+	T        int
+	M, V     [][]float64
+	T32      int
+	M32, V32 [][]float64
+}
+
+// legacyAgentState mirrors the ddpg agent checkpoint blob with the
+// legacy optimizer fields.
+type legacyAgentState struct {
+	Cfg                                      ddpg.Config
+	Actor, Critic, ActorTarget, CriticTarget []byte
+	ActorOpt, CriticOpt                      legacyAdamState
+	NoiseState                               []float64
+	NoiseSigma                               float64
+	RNGDraws                                 uint64
+	LearnSteps                               int
+	Replay                                   *replay.PrioritizedState
+	ShardedReplay                            *replay.ShardedState
+}
+
+// rewriteLegacyCheckpoint rewrites the GNFVCKP1 file at path so its
+// agent blob carries non-empty legacy single-precision Adam moments,
+// as a checkpoint written by an older trainer does.
+func rewriteLegacyCheckpoint(t *testing.T, path string) {
+	t.Helper()
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st legacyAgentState
+	if err := gob.NewDecoder(bytes.NewReader(ck.Agent)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []*legacyAdamState{&st.ActorOpt, &st.CriticOpt} {
+		opt.T32 = opt.T + 3
+		for _, m := range opt.M {
+			opt.M32 = append(opt.M32, append([]float64(nil), m...))
+			opt.V32 = append(opt.V32, make([]float64, len(m)))
+		}
+	}
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	ck.Agent = blob.Bytes()
+	if err := WriteCheckpoint(path, ck); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTrainerCheckpointResume is the checkpoint round-trip gate at the
 // trainer level: train, checkpoint, restore into a freshly built
 // trainer, and require bit-identical weights plus next-update parity
 // (both learners step once more and must remain bit-identical — the
 // optimizer moments, RNG stream and replay contents all survived).
-func TestTrainerCheckpointResume(t *testing.T) {
+func TestTrainerCheckpointResume(t *testing.T) { runTrainerCheckpointResume(t, false) }
+
+// TestTrainerCheckpointResumeLegacyAdamState: a checkpoint file whose
+// agent blob still carries the retired single-precision Adam moments
+// reads through ReadCheckpoint and resumes the same future.
+func TestTrainerCheckpointResumeLegacyAdamState(t *testing.T) {
+	runTrainerCheckpointResume(t, true)
+}
+
+func runTrainerCheckpointResume(t *testing.T, legacy bool) {
+	t.Helper()
 	const total = 80
 	cfg := checkpointTrainerConfig(t, total)
 	tr, err := NewTrainer(cfg)
@@ -90,6 +157,9 @@ func TestTrainerCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trainer.ckpt")
 	if err := tr.Checkpoint(path); err != nil {
 		t.Fatal(err)
+	}
+	if legacy {
+		rewriteLegacyCheckpoint(t, path)
 	}
 	wantBytes, err := tr.Learner().Agent().ActorBytes()
 	if err != nil {

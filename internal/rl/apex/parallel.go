@@ -78,17 +78,8 @@ func (t *Trainer) runParallel() error {
 	if err := t.installShardedReplay(agent); err != nil {
 		return err
 	}
-	if t.cfg.Float32 {
-		// Learner updates run in single precision; the flush makes the
-		// trained policy visible to the f64 side (GreedyEval,
-		// SaveActor) once the run ends. The acting agent below gets its
-		// own f32 switch (SetActFloat32) — the two paths never share a
-		// network.
-		agent.SetFloat32(true)
-		defer agent.SetFloat32(false)
-	}
 	// Restore checkpoint state only after the replay implementation
-	// and precision mode match the one that wrote it.
+	// matches the one that wrote it.
 	if err := t.applyResume(); err != nil {
 		return err
 	}
@@ -120,13 +111,6 @@ func (t *Trainer) runParallel() error {
 	}
 	vec.Reset(acfg.Seed)
 	vagent := t.actors[0].agent
-	if t.cfg.Float32 {
-		// Batched f32 actor fast path: acting and TD-error priorities
-		// run through the vectorized f32 engine. Independent of the
-		// learner's SetFloat32 above (different agent).
-		vagent.SetActFloat32(true)
-		defer vagent.SetActFloat32(false)
-	}
 	va := newVecActor(vagent, vec, noiseLadder(acfg.ActionDim, ladder),
 		t.cfg.PushEvery, t.cfg.SyncEvery)
 

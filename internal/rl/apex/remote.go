@@ -222,15 +222,8 @@ func (t *Trainer) runRemote() error {
 	if err := t.installShardedReplay(t.learner.Agent()); err != nil {
 		return err
 	}
-	if t.cfg.Float32 {
-		// Same single-precision learner as the parallel mode; actor
-		// processes always pull f64 broadcasts (ActorBytes flushes the
-		// mirrors), so the wire format is unchanged.
-		t.learner.Agent().SetFloat32(true)
-		defer t.learner.Agent().SetFloat32(false)
-	}
 	// Restore checkpoint state only after the replay implementation
-	// and precision mode match the one that wrote it.
+	// matches the one that wrote it.
 	if err := t.applyResume(); err != nil {
 		return err
 	}

@@ -98,16 +98,6 @@ type TrainerConfig struct {
 	// Ignored by the deterministic round-robin mode, which keeps the
 	// single-tree buffer.
 	ReplayShards int
-	// Float32 runs the learner's updates through the single-precision
-	// NN fast path (8-lane AVX2 kernels, roughly 1.3x the f64 update
-	// rate) in the Parallel and RemoteActors modes. The trained policy
-	// is flushed back to float64 when the run ends, and every
-	// parameter broadcast carries the current weights. Ignored by the
-	// deterministic round-robin mode, whose recorded figures depend on
-	// the f64 path staying byte-identical; parity of the f32 update is
-	// bounded by the ddpg package's f32-vs-f64 test (max |ΔQ| well
-	// under 1e-3 over a fixed schedule).
-	Float32 bool
 	// RemoteActors selects the multi-process mode (the paper's
 	// six-node deployment): the trainer serves the learner over
 	// net/rpc and RemoteActors actor processes connect as RPC

@@ -8,19 +8,12 @@ import (
 
 // This file is the batched acting fast path of the Ape-X actor half:
 // one network pass serves every parallel actor's action (ActBatch) and
-// one fused pass serves a whole staging buffer's TD-error priorities
-// (TDErrorBatch), replacing the per-state scalar forwards the actors
-// used to run. Two precision regimes share the entry points:
-//
-//   - f64 (default): nn.ForwardRows, whose per-row results are
-//     bit-identical to the scalar Forward. Batching over rows changes
-//     NOTHING numerically — the deterministic round-robin figure path
-//     and the remote actors' bit-for-bit priority verification both
-//     rely on this.
-//   - f32 (SetActFloat32): nn.ForwardBatchF32 over the f32 parameter
-//     mirrors — the vectorized 8-lane kernels. Not bit-comparable to
-//     f64; the acting parity test bounds |Δaction| ≤ 1e-3. Only the
-//     non-deterministic Parallel trainer mode enables it.
+// three row passes serve a whole staging buffer's TD-error priorities
+// (TDErrorBatch), replacing the per-state scalar forwards. Both run on
+// nn.ForwardRows, whose per-row results are bit-identical to the
+// scalar Forward: batching over rows changes NOTHING numerically — the
+// deterministic round-robin figure path and the remote actors'
+// bit-for-bit priority verification both rely on this.
 //
 // All entry points run over agent-owned scratch: zero allocations in
 // steady state (buffers grow to the largest batch seen and stick).
@@ -32,13 +25,6 @@ func growFloat64(buf []float64, n int) []float64 {
 		return buf[:n]
 	}
 	return make([]float64, n)
-}
-
-func growFloat32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
 }
 
 // ActInto is Act without the per-call allocation: the clamped policy
@@ -78,10 +64,7 @@ func (a *Agent) ActInto(state []float64, explore bool, dst []float64) error {
 // process so the Ape-X exploration ladder survives batching. noises
 // may be nil (greedy batch).
 //
-// On the f64 path each row is bit-identical to ActInto with the same
-// noise process. With SetActFloat32 the pass runs through the f32
-// batch engine instead (vectorized, NOT bit-comparable; the parity
-// test bounds the drift).
+// Each row is bit-identical to ActInto with the same noise process.
 func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float64) error {
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	if len(states) < n*S {
@@ -93,19 +76,8 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 	if noises != nil && len(noises) < n {
 		return fmt.Errorf("ddpg: ActBatch has %d noise processes for %d rows", len(noises), n)
 	}
-	if a.actF32 {
-		a.act32States = growFloat32(a.act32States, n*S)
-		for i, v := range states[:n*S] {
-			a.act32States[i] = float32(v)
-		}
-		out := a.Actor.ForwardBatchF32(a.act32States, n)
-		for i, v := range out[:n*A] {
-			dst[i] = float64(v)
-		}
-	} else {
-		out := a.Actor.ForwardRows(states, n)
-		copy(dst[:n*A], out)
-	}
+	out := a.Actor.ForwardRows(states, n)
+	copy(dst[:n*A], out)
 	for r := 0; r < n; r++ {
 		row := dst[r*A : (r+1)*A]
 		if noises != nil && noises[r] != nil {
@@ -131,20 +103,12 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 // critic) instead of 3·n scalar forwards — the Ape-X actors' priority
 // computation at Flush granularity. The errors are appended to out
 // (truncated to length zero first) and the returned slice is valid
-// until the next call.
-//
-// On the f64 path out[i] is bit-identical to TDError(batch[i]); with
-// SetActFloat32 the passes run through the f32 batch engine (priorities
-// are sampling weights, not gradients — the f32 drift is harmless and
-// the parallel mode that enables it is non-deterministic anyway).
+// until the next call. out[i] is bit-identical to TDError(batch[i]).
 func (a *Agent) TDErrorBatch(batch []replay.Transition, out []float64) []float64 {
 	n := len(batch)
 	out = growFloat64(out[:0], n)
 	if n == 0 {
 		return out
-	}
-	if a.actF32 {
-		return a.tdErrorBatch32(batch, out)
 	}
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	SA := S + A
@@ -173,70 +137,3 @@ func (a *Agent) TDErrorBatch(batch []replay.Transition, out []float64) []float64
 	}
 	return out
 }
-
-// tdErrorBatch32 is TDErrorBatch through the f32 batch engine: same
-// three passes over the f32 parameter mirrors, with the final
-// target/error arithmetic in f64 over the converted Q values.
-func (a *Agent) tdErrorBatch32(batch []replay.Transition, out []float64) []float64 {
-	n := len(batch)
-	S, A := a.cfg.StateDim, a.cfg.ActionDim
-	SA := S + A
-	a.act32States = growFloat32(a.act32States, n*S)
-	a.act32NextSA = growFloat32(a.act32NextSA, n*SA)
-	a.act32SA = growFloat32(a.act32SA, n*SA)
-	for i := range batch {
-		t := &batch[i]
-		for j, v := range t.NextState {
-			a.act32States[i*S+j] = float32(v)
-			a.act32NextSA[i*SA+j] = float32(v)
-		}
-		for j, v := range t.State {
-			a.act32SA[i*SA+j] = float32(v)
-		}
-		for j, v := range t.Action {
-			a.act32SA[i*SA+S+j] = float32(v)
-		}
-	}
-	nextA := a.actorTarget.ForwardBatchF32(a.act32States, n)
-	for i := 0; i < n; i++ {
-		copy(a.act32NextSA[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
-	}
-	qNext := a.criticTarget.ForwardBatchF32(a.act32NextSA, n)
-	q := a.Critic.ForwardBatchF32(a.act32SA, n)
-	for i := range batch {
-		target := batch[i].Reward
-		if !batch[i].Done {
-			target += a.cfg.Gamma * float64(qNext[i])
-		}
-		out[i] = target - float64(q[i])
-	}
-	return out
-}
-
-// SetActFloat32 switches ActBatch/TDErrorBatch between the bit-exact
-// f64 row path and the vectorized f32 batch engine. Enabling snapshots
-// all four networks' f32 mirrors from the current f64 weights.
-//
-// The flag is for ACTING agents — Ape-X actors that never Learn and
-// whose f64 weights therefore never go stale outside LoadActorBytes
-// (which refreshes the actor mirror itself). It is independent of
-// SetFloat32, the learner-side precision switch; enabling both on one
-// agent is unsupported (the learner trains the f32 mirrors, and a
-// re-snapshot from the stale f64 weights would revert them), and
-// SetActFloat32 is a no-op while the learn path owns the mirrors.
-// Scalar Act/ActInto/TDError always stay on the f64 weights.
-func (a *Agent) SetActFloat32(enable bool) {
-	if a.f32 {
-		return // learn path owns the mirrors
-	}
-	a.actF32 = enable
-	if enable {
-		a.Actor.EnableF32()
-		a.actorTarget.EnableF32()
-		a.Critic.EnableF32()
-		a.criticTarget.EnableF32()
-	}
-}
-
-// ActFloat32 reports whether the f32 acting path is active.
-func (a *Agent) ActFloat32() bool { return a.actF32 }

@@ -1,7 +1,6 @@
 package ddpg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -108,45 +107,6 @@ func TestActBatchMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// The f32 acting path is not bit-comparable, but its actions must stay
-// within 1e-3 of the f64 path (greedy, so no RNG divergence).
-func TestActBatchFloat32Parity(t *testing.T) {
-	cfg := actConfig()
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetActFloat32(true)
-	if !b.ActFloat32() {
-		t.Fatal("SetActFloat32 did not enable the f32 acting path")
-	}
-	const n = 6
-	rng := rand.New(rand.NewSource(17))
-	states := make([]float64, n*cfg.StateDim)
-	f64Out := make([]float64, n*cfg.ActionDim)
-	f32Out := make([]float64, n*cfg.ActionDim)
-	for round := 0; round < 20; round++ {
-		for i := range states {
-			states[i] = rng.NormFloat64()
-		}
-		if err := a.ActBatch(states, n, nil, f64Out); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.ActBatch(states, n, nil, f32Out); err != nil {
-			t.Fatal(err)
-		}
-		for i := range f64Out {
-			if d := math.Abs(f64Out[i] - f32Out[i]); d > 1e-3 {
-				t.Fatalf("round %d: |f32 - f64| = %v at %d, want ≤ 1e-3", round, d, i)
-			}
-		}
-	}
-}
-
 // randomTransitions builds transitions with the agent's dims.
 func randomTransitions(cfg Config, n int, seed int64) []replay.Transition {
 	rng := rand.New(rand.NewSource(seed))
@@ -169,7 +129,7 @@ func randomTransitions(cfg Config, n int, seed int64) []replay.Transition {
 	return ts
 }
 
-// TDErrorBatch on the f64 path must be bit-identical to the scalar
+// TDErrorBatch must be bit-identical to the scalar
 // TDError per transition — the actors' priority settlement and the
 // remote -verifyprio check both demand it.
 func TestTDErrorBatchMatchesScalar(t *testing.T) {
@@ -189,24 +149,6 @@ func TestTDErrorBatchMatchesScalar(t *testing.T) {
 			if want := a.TDError(tr); out[i] != want {
 				t.Fatalf("n=%d: TDErrorBatch[%d] = %v, TDError = %v (not bit-identical)", n, i, out[i], want)
 			}
-		}
-	}
-}
-
-// The f32 TD errors only feed replay priorities; they must track the
-// f64 values closely but need no bit-identity.
-func TestTDErrorBatchFloat32Parity(t *testing.T) {
-	cfg := actConfig()
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := randomTransitions(cfg, 8, 500)
-	a.SetActFloat32(true)
-	got := a.TDErrorBatch(ts, nil)
-	for i, tr := range ts {
-		if d := math.Abs(got[i] - a.TDError(tr)); d > 1e-2 {
-			t.Fatalf("f32 TD error %d drifts %v from scalar f64, want ≤ 1e-2", i, d)
 		}
 	}
 }
@@ -236,19 +178,4 @@ func TestActBatchNoAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() { td = a.TDErrorBatch(ts, td) }); avg != 0 {
 		t.Errorf("TDErrorBatch allocates %.1f per call, want 0", avg)
 	}
-}
-
-// SetActFloat32 must refuse to take over the mirrors while the learner
-// precision switch owns them.
-func TestSetActFloat32NoOpUnderLearnerF32(t *testing.T) {
-	a, err := New(actConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetFloat32(true)
-	a.SetActFloat32(true)
-	if a.ActFloat32() {
-		t.Error("SetActFloat32 engaged while the learner owns the f32 mirrors")
-	}
-	a.SetFloat32(false)
 }

@@ -42,14 +42,11 @@ func BenchmarkAgentLearn(b *testing.B) {
 // benchActBatch measures one batched acting pass over n parallel
 // actors' states at the GreenNFV problem size — the VecActor driver's
 // per-step policy cost.
-func benchActBatch(b *testing.B, n int, f32 bool) {
+func benchActBatch(b *testing.B, n int) {
 	cfg := DefaultConfig(12, 15)
 	a, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if f32 {
-		a.SetActFloat32(true)
 	}
 	noises := make([]*OUNoise, n)
 	for i := range noises {
@@ -76,8 +73,4 @@ func benchActBatch(b *testing.B, n int, f32 bool) {
 
 // BenchmarkActBatch: the f64 row path (bit-identical to scalar acting)
 // over the default 4-actor fleet.
-func BenchmarkActBatch(b *testing.B) { benchActBatch(b, 4, false) }
-
-// BenchmarkActBatchF32: the same pass through the vectorized f32
-// engine (the Parallel-mode acting fast path).
-func BenchmarkActBatchF32(b *testing.B) { benchActBatch(b, 4, true) }
+func BenchmarkActBatch(b *testing.B) { benchActBatch(b, 4) }

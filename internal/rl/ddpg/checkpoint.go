@@ -13,27 +13,23 @@ import (
 )
 
 // Full-agent checkpoint/restore. A DDPG agent's training state is more
-// than its four networks: the Adam moment estimates (both precisions),
-// the OU exploration-noise vector and annealed sigma, the RNG stream
+// than its four networks: the Adam moment estimates, the OU
+// exploration-noise vector and annealed sigma, the RNG stream
 // position, the learn-step counter and (optionally) the replay buffer
 // all feed the next update. SaveState captures every piece so that a
 // restored agent's next Learn is bit-identical to the update an
 // uninterrupted run would have made — the property the checkpoint
 // round-trip test pins and the crash-recovery story of the remote
 // trainer depends on.
-//
-// Float32 interplay: saving while SetFloat32 is active first flushes
-// the trained mirrors into the f64 weights (like ActorBytes), so the
-// blob always carries the current policy in double precision; the f32
-// Adam moments ride along. Restoring onto an agent with the f32 path
-// active refreshes its mirrors from the restored f64 weights.
 
 // agentState is the gob-serializable form of an Agent.
 type agentState struct {
 	Cfg Config
 	// The four networks, each in nn.Network wire format.
 	Actor, Critic, ActorTarget, CriticTarget []byte
-	// Optimizer moments (f64 and, when the f32 path ran, f32).
+	// Optimizer moments. Older checkpoints also carry single-precision
+	// Adam moments (T32/M32/V32); gob skips those fields, so they
+	// still load.
 	ActorOpt, CriticOpt nn.AdamState
 	// Exploration state.
 	NoiseState []float64
@@ -53,13 +49,6 @@ type agentState struct {
 // (required for next-update parity after restore; skippable when only
 // the policy and optimizer state matter).
 func (a *Agent) SaveState(w io.Writer, includeReplay bool) error {
-	if a.f32 {
-		// Make the f64 weights current; the mirrors stay authoritative.
-		a.Actor.FlushF32()
-		a.Critic.FlushF32()
-		a.actorTarget.FlushF32()
-		a.criticTarget.FlushF32()
-	}
 	st := agentState{
 		Cfg:        a.cfg,
 		ActorOpt:   a.actorOpt.State(),
@@ -185,14 +174,6 @@ func (a *Agent) applyState(st *agentState, withReplay bool) error {
 		if err := buf.SetState(*st.ShardedReplay); err != nil {
 			return err
 		}
-	}
-	if a.f32 || a.actF32 {
-		// Refresh the f32 mirrors from the restored f64 weights; the
-		// restored f32 Adam moments continue where they left off.
-		a.Actor.EnableF32()
-		a.Critic.EnableF32()
-		a.actorTarget.EnableF32()
-		a.criticTarget.EnableF32()
 	}
 	return nil
 }

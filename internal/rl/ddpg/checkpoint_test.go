@@ -2,6 +2,7 @@ package ddpg
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,12 +30,60 @@ func fillReplay(a *Agent, cfg Config, n int, seed int64) {
 	}
 }
 
+// legacyAdamState is nn.AdamState as checkpoints wrote it while the
+// learner also had a single-precision path: T32/M32/V32 carried that
+// path's step counter and moments. Gob sends every float as a float64,
+// so [][]float64 here puts the same fields on the wire.
+type legacyAdamState struct {
+	T        int
+	M, V     [][]float64
+	T32      int
+	M32, V32 [][]float64
+}
+
+// legacyAgentState is agentState with the legacy optimizer fields.
+type legacyAgentState struct {
+	Cfg                                      Config
+	Actor, Critic, ActorTarget, CriticTarget []byte
+	ActorOpt, CriticOpt                      legacyAdamState
+	NoiseState                               []float64
+	NoiseSigma                               float64
+	RNGDraws                                 uint64
+	LearnSteps                               int
+	Replay                                   *replay.PrioritizedState
+	ShardedReplay                            *replay.ShardedState
+}
+
+// legacyStateBlob re-encodes a SaveState blob with non-empty legacy
+// single-precision Adam moments, as an older checkpoint carries them.
+func legacyStateBlob(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	var st legacyAgentState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []*legacyAdamState{&st.ActorOpt, &st.CriticOpt} {
+		opt.T32 = opt.T + 3
+		for _, m := range opt.M {
+			opt.M32 = append(opt.M32, append([]float64(nil), m...))
+			opt.V32 = append(opt.V32, make([]float64, len(m)))
+		}
+	}
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // runCheckpointRoundTrip drives an agent through warmup learning,
 // checkpoints it mid-run, restores into a fresh agent and asserts the
 // two futures are bit-identical: same ActorBytes immediately after
 // restore and after every further update, same losses, same
-// exploration actions (noise + RNG stream parity).
-func runCheckpointRoundTrip(t *testing.T, f32 bool) {
+// exploration actions (noise + RNG stream parity). With legacy set the
+// checkpoint is restored in the older format that also carries
+// single-precision Adam moments.
+func runCheckpointRoundTrip(t *testing.T, legacy bool) {
 	t.Helper()
 	cfg := DefaultConfig(6, 4)
 	cfg.BatchSize = 16
@@ -44,7 +93,6 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.SetFloat32(f32)
 	fillReplay(orig, cfg, 64, 71)
 	state := make([]float64, cfg.StateDim)
 	for i := 0; i < 9; i++ {
@@ -60,6 +108,9 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if legacy {
+		blob = legacyStateBlob(t, blob)
+	}
 	wantActor, err := orig.ActorBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +120,6 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored.SetFloat32(f32)
 	if err := restored.LoadStateBytes(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +165,12 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T)    { runCheckpointRoundTrip(t, false) }
-func TestCheckpointRoundTripF32(t *testing.T) { runCheckpointRoundTrip(t, true) }
+func TestCheckpointRoundTrip(t *testing.T) { runCheckpointRoundTrip(t, false) }
+
+// TestCheckpointRoundTripLegacyAdamState: a checkpoint whose Adam
+// state still carries the retired single-precision moments loads
+// (gob skips the unknown fields) and restores the same future.
+func TestCheckpointRoundTripLegacyAdamState(t *testing.T) { runCheckpointRoundTrip(t, true) }
 
 // TestCheckpointConfigMismatch pins that a checkpoint cannot be
 // restored into an agent built from a different Config.

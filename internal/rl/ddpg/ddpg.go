@@ -225,36 +225,12 @@ type Agent struct {
 	bDQ         []float64 // BatchSize dL/dQ
 	bDAct       []float64 // BatchSize × ActionDim
 	tdErrBuf    []float64 // BatchSize TD errors for priority updates
-	// fused-pass scratch (LearnBatch): the regression half and the
-	// action-gradient half of the critic pass stacked in one matrix.
-	bSA2 []float64 // 2·BatchSize × (StateDim+ActionDim)
-	bDQ2 []float64 // 2·BatchSize dL/dQ
 
 	// batched acting scratch (act.go): TDErrorBatch's assembled
 	// matrices, grown to the largest flush window seen.
 	actNext   []float64 // n × StateDim next states
 	actNextSA []float64 // n × (StateDim+ActionDim) target critic input
 	actSA     []float64 // n × (StateDim+ActionDim) critic input
-
-	// float32 fast path (learn32.go): enabled by SetFloat32, used by
-	// the non-deterministic Parallel/RemoteActors trainer modes.
-	f32 bool
-	// float32 acting path (act.go): enabled by SetActFloat32 on
-	// acting-only agents; routes ActBatch/TDErrorBatch through the f32
-	// batch engine.
-	actF32      bool
-	act32States []float32
-	act32NextSA []float32
-	act32SA     []float32
-	// f32 minibatch scratch, the single-precision mirror of the fused
-	// buffers above.
-	bStates32     []float32 // BatchSize × StateDim
-	bNextStates32 []float32 // BatchSize × StateDim
-	bNextSA32     []float32 // BatchSize × (StateDim+ActionDim)
-	bY32          []float32 // BatchSize targets
-	bDAct32       []float32 // BatchSize × ActionDim
-	bSA232        []float32 // 2·BatchSize × (StateDim+ActionDim)
-	bDQ232        []float32 // 2·BatchSize dL/dQ
 }
 
 // growScratch sizes the minibatch scratch buffers once.
@@ -276,8 +252,6 @@ func (a *Agent) growScratch() {
 	a.bDQ = make([]float64, n)
 	a.bDAct = make([]float64, n*A)
 	a.tdErrBuf = make([]float64, n)
-	a.bSA2 = make([]float64, 2*n*(S+A))
-	a.bDQ2 = make([]float64, 2*n)
 }
 
 // New builds an agent from a validated configuration.
@@ -473,40 +447,28 @@ func (a *Agent) Learn() float64 {
 		batch = a.uniform.SampleInto(a.rng, a.cfg.BatchSize, a.batchBuf)
 		a.batchBuf = batch
 	}
-	return a.learnMinibatch(batch, indices, weights, false)
+	return a.learnMinibatch(batch, indices, weights)
 }
 
 // LearnBatch runs one update on an externally sampled minibatch — the
 // Ape-X prefetcher path, where a sampler goroutine fills the next
-// minibatch while this one is consumed. It uses the FUSED critic
-// pass: the regression rows and the dQ/da probe rows go through one
-// 2n-row forward/backward (nn.BackwardBatchSplit), cutting one full
-// ForwardBatch call and one weight transpose per layer per step. The
-// fused ordering evaluates dQ/da against the pre-update critic (the
-// sequential Learn uses the just-updated critic), which is why the
-// deterministic round-robin path keeps the unfused sequence and stays
-// byte-identical. Updated priorities are written back through
+// minibatch while this one is consumed. The update is the same one
+// Learn makes; updated priorities are written back through
 // UpdatePrioritiesBatch.
 func (a *Agent) LearnBatch(batch []replay.Transition, indices []int, weights []float64) float64 {
 	if len(batch) > a.cfg.BatchSize {
 		batch = batch[:a.cfg.BatchSize] // scratch is sized to BatchSize
 	}
 	a.growScratch()
-	return a.learnMinibatch(batch, indices, weights, true)
+	return a.learnMinibatch(batch, indices, weights)
 }
 
-// learnMinibatch is the shared DDPG update body. The fused flag
-// selects the 2n-row critic pass of LearnBatch; the unfused sequence
-// is op-for-op the historical Learn and must stay byte-identical.
-func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights []float64, fused bool) float64 {
+// learnMinibatch is the DDPG update body shared by Learn and
+// LearnBatch. Its operation order is what the recorded deterministic
+// figures were made with and must stay byte-identical.
+func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights []float64) float64 {
 	if len(batch) == 0 {
 		return 0
-	}
-	if a.f32 {
-		// Float32 fast path (learn32.go): both Learn and LearnBatch
-		// route here while SetFloat32 is active — the fused structure
-		// in single precision.
-		return a.learnMinibatchF32(batch, indices, weights)
 	}
 
 	n := len(batch)
@@ -536,10 +498,6 @@ func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights
 			y += a.cfg.Gamma * qNext[i]
 		}
 		a.bY[i] = y
-	}
-
-	if fused {
-		return a.finishFused(batch, indices, weights, n)
 	}
 
 	// Critic update: minimize Σ w_i (y_i − Q(s_i, a_i))².
@@ -586,67 +544,6 @@ func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights
 	a.Actor.ScaleGrad(1 / float64(n))
 	a.actorOpt.Step(a.Actor)
 
-	a.finishTargets()
-	return loss
-}
-
-// finishFused is the fused critic pass of LearnBatch: one 2n-row
-// forward over [regression rows; (s, μ(s)) probe rows] and one
-// BackwardBatchSplit that keeps parameter gradients from the first
-// half while returning input gradients for the second.
-func (a *Agent) finishFused(batch []replay.Transition, indices []int, weights []float64, n int) float64 {
-	S, A := a.cfg.StateDim, a.cfg.ActionDim
-	SA := S + A
-
-	// Probe actions μ(s) from the online actor; its cached
-	// activations feed the actor backward below (the critic passes in
-	// between do not disturb them).
-	actions := a.Actor.ForwardBatch(a.bStates, n)
-	copy(a.bSA2[:n*SA], a.bSA[:n*SA])
-	for i := 0; i < n; i++ {
-		row := a.bSA2[(n+i)*SA : (n+i+1)*SA]
-		copy(row[:S], batch[i].State)
-		copy(row[S:], actions[i*A:(i+1)*A])
-	}
-
-	q2 := a.Critic.ForwardBatch(a.bSA2, 2*n)
-	var loss float64
-	for i := 0; i < n; i++ {
-		diff := q2[i] - a.bY[i]
-		a.tdErrBuf[i] = -diff
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		loss += w * diff * diff
-		a.bDQ2[i] = w * diff
-		a.bDQ2[n+i] = -1 // ascend Q along the probe rows
-	}
-	a.Critic.ZeroGrad()
-	dInput := a.Critic.BackwardBatchSplit(a.bDQ2, 2*n, n)
-	a.Critic.ScaleGrad(1 / float64(n))
-	a.criticOpt.Step(a.Critic)
-	loss /= float64(n)
-
-	if a.prioritized != nil && indices != nil {
-		a.prioritized.UpdatePrioritiesBatch(indices, a.tdErrBuf[:n])
-	}
-
-	for i := 0; i < n; i++ {
-		copy(a.bDAct[i*A:(i+1)*A], dInput[(n+i)*SA+S:(n+i+1)*SA])
-	}
-	a.Actor.ZeroGrad()
-	a.Actor.BackwardBatchParams(a.bDAct, n)
-	a.Actor.ScaleGrad(1 / float64(n))
-	a.actorOpt.Step(a.Actor)
-
-	a.finishTargets()
-	return loss
-}
-
-// finishTargets applies the soft target updates and per-step
-// bookkeeping shared by both learn paths.
-func (a *Agent) finishTargets() {
 	if err := a.actorTarget.SoftUpdate(a.Actor, a.cfg.Tau); err != nil {
 		panic(err) // topologies are construction-matched
 	}
@@ -658,6 +555,7 @@ func (a *Agent) finishTargets() {
 	if a.cfg.NoiseDecay > 0 && a.cfg.NoiseDecay < 1 {
 		a.noise.SetSigma(a.noise.Sigma() * a.cfg.NoiseDecay)
 	}
+	return loss
 }
 
 // LearnSteps reports completed updates.
@@ -682,31 +580,17 @@ func (a *Agent) SyncFrom(src *Agent) error {
 }
 
 // ActorBytes serializes the actor network for parameter broadcast.
-// On the float32 path the trained mirrors are flushed to the f64
-// weights first, so broadcasts always carry the current policy.
 func (a *Agent) ActorBytes() ([]byte, error) {
-	if a.f32 {
-		a.Actor.FlushF32()
-	}
 	return a.Actor.MarshalBinary()
 }
 
-// LoadActorBytes replaces the actor network from a broadcast. While
-// the f32 acting path is active the actor's parameter mirrors are
-// refreshed from the new weights, so batched acting never runs on a
-// stale policy.
+// LoadActorBytes replaces the actor network from a broadcast.
 func (a *Agent) LoadActorBytes(data []byte) error {
 	var net nn.Network
 	if err := net.UnmarshalBinary(data); err != nil {
 		return err
 	}
-	if err := a.Actor.CopyParamsFrom(&net); err != nil {
-		return err
-	}
-	if a.actF32 {
-		a.Actor.EnableF32()
-	}
-	return nil
+	return a.Actor.CopyParamsFrom(&net)
 }
 
 // concat appends a and b into dst and returns it.

@@ -20,38 +20,15 @@
 // keeps the round-robin training figures byte-identical.
 //
 // Learn is organized as sample + learnMinibatch: Learn draws a
-// prioritized minibatch and hands it to the shared update step, and
-// the Ape-X pipeline calls the same step through LearnBatch with a
-// prefetched minibatch instead. Both run three batched network
-// passes over reusable scratch (zero allocations per update,
-// including sampling, pinned by benchmarks). LearnBatch additionally
-// takes the fused path — one 2n-row critic forward over [regression;
-// (s,μ(s)) probes] with nn.BackwardBatchSplit, where dQ/da reads the
-// pre-update critic — which is bit-unidentical to the unfused order
-// and therefore used only by the non-deterministic parallel mode;
-// the unfused path is op-identical to the original Learn and stays
-// on the figure path. The replay behind Observe/ObserveBatch is
-// goroutine-safe (see internal/replay), so experience ingest may run
-// concurrently with action selection but not with updates.
-//
-// # Float32 fast path
-//
-// SetFloat32(true) routes both Learn and LearnBatch through a
-// single-precision mirror of the fused update (learn32.go) built on
-// internal/nn's f32 batch engine — roughly 1.3x the f64 update rate
-// on AVX2. Precision contract: while enabled, the f32 parameter
-// mirrors of all four networks are authoritative and the f64 weights
-// go stale; ActorBytes flushes the actor mirror before serializing
-// (broadcasts always carry the current policy) and SetFloat32(false)
-// flushes everything back, after which Act/Greedy/TDError see the
-// trained policy. The path is deterministic given the seed on a fixed
-// CPU feature set but NOT bit-comparable to the f64 update; its drift
-// is quantified by TestLearnF32ParityWithF64 (max |ΔQ| and |Δaction|
-// well under 1e-3 after a fixed 40-update schedule). Only the
-// non-deterministic Ape-X Parallel/RemoteActors modes enable it — the
-// round-robin figure path never does, keeping recorded figures
-// byte-identical. Zero allocations per update once warm, pinned by
-// TestLearnBatchF32ZeroAlloc.
+// prioritized minibatch and hands it to the update step, and the
+// Ape-X pipeline calls the same step through LearnBatch with a
+// prefetched minibatch instead. The two differ only in where the
+// minibatch comes from. The step runs three batched network passes
+// over reusable scratch (zero allocations per update, including
+// sampling, pinned by benchmarks), all in float64. The replay behind
+// Observe/ObserveBatch is goroutine-safe (see internal/replay), so
+// experience ingest may run concurrently with action selection but
+// not with updates.
 //
 // # Batched acting
 //
@@ -73,12 +50,6 @@
 //     and the critic — parameters a learner broadcast never touches —
 //     which is why the Ape-X actor may defer priority settlement to
 //     push time without changing a single priority bit.
-//   - SetActFloat32 routes ActBatch/TDErrorBatch through the f32
-//     batch engine (~2x on AVX2) WITHOUT touching the learner state:
-//     it mirrors only the acting nets, and it is a no-op while
-//     SetFloat32 learning is enabled on the same agent — the learner
-//     owns the mirrors then, and acting precision must not fight it.
-//     Drift vs f64 is bounded by TestActBatchFloat32Parity (≤1e-3).
 //
 // All batched-acting entry points are zero-allocation in steady state
 // (TestActBatchNoAllocs); scratch grows monotonically to the largest
@@ -87,14 +58,13 @@
 // # Serialization contract
 //
 // SaveState/LoadState (checkpoint.go) serialize the COMPLETE training
-// state, not just the policy: all four networks, both Adam moment
-// sets (f64 and, when the f32 paths ran, their f32 twins), the OU
+// state, not just the policy: all four networks, both optimizers'
+// Adam moments, the OU
 // noise process, the exploration-RNG stream position, the learn-step
 // counter and optionally the replay contents. The restore contract is
 // bit-exactness: an agent restored from a snapshot produces the same
 // actions, losses and parameter bytes on every subsequent step as the
-// original would have — pinned per precision mode by
-// TestCheckpointRoundTrip/F32. Two consequences shape the API: the
+// original would have — pinned by TestCheckpointRoundTrip. Two consequences shape the API: the
 // target Config must match the snapshot exactly (strict equality, no
 // silent topology adaption), and LoadState requires an EMPTY replay
 // of matching capacity when the snapshot carries one (restoring over

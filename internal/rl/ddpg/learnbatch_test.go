@@ -1,6 +1,7 @@
 package ddpg
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func fillAgent(t testing.TB, a *Agent, n int) {
 	}
 }
 
-// TestLearnBatchLearns drives the fused prefetcher-path update on a
+// TestLearnBatchLearns drives the prefetcher-path update on a
 // sharded replay end to end: externally sampled minibatch in,
 // finite loss, a bumped learn-step counter and annealed beta out.
 func TestLearnBatchLearns(t *testing.T) {
@@ -73,6 +74,39 @@ func TestLearnBatchLearns(t *testing.T) {
 	// Empty and oversized batches are handled.
 	if loss := a.LearnBatch(nil, nil, nil); loss != 0 {
 		t.Errorf("empty batch loss = %v", loss)
+	}
+}
+
+// TestLearnBatchMatchesLearn: Learn and LearnBatch run one update
+// body and differ only in where the minibatch comes from. Fed the
+// minibatch Learn would draw, LearnBatch must make the bit-identical
+// update.
+func TestLearnBatchMatchesLearn(t *testing.T) {
+	cfg := DefaultConfig(6, 4)
+	cfg.Hidden = []int{16, 16}
+	cfg.BatchSize = 8
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillAgent(t, a, 4*cfg.BatchSize)
+	fillAgent(t, b, 4*cfg.BatchSize)
+	for step := 0; step < 5; step++ {
+		lossA := a.Learn()
+		s, idx, w := b.SampleReplayInto(b.rng, cfg.BatchSize, nil, nil, nil)
+		lossB := b.LearnBatch(s, idx, w)
+		if lossA != lossB {
+			t.Fatalf("step %d: Learn loss %v, LearnBatch loss %v", step, lossA, lossB)
+		}
+		wa, _ := a.StateBytes(true)
+		wb, _ := b.StateBytes(true)
+		if !bytes.Equal(wa, wb) {
+			t.Fatalf("step %d: agent state diverged between Learn and LearnBatch", step)
+		}
 	}
 }
 
@@ -145,7 +179,7 @@ func TestSetReplayGuards(t *testing.T) {
 	}
 }
 
-// BenchmarkAgentLearnBatch measures the fused prefetcher-path update
+// BenchmarkAgentLearnBatch measures the prefetcher-path update
 // (externally sampled minibatch + LearnBatch) at the GreenNFV problem
 // size, the per-update cost the parallel learner pays.
 func BenchmarkAgentLearnBatch(b *testing.B) {

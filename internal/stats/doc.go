@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit GreenNFV uses to
-// characterize network flows: online moments, exponential smoothing,
-// the Double Exponential Smoothing predictor used by the EE-Pstate
-// baseline, histograms with percentile queries, rate estimation and
-// burstiness (index of dispersion) measurement.
+// characterize network flows: online moments, the Double Exponential
+// Smoothing predictor used by the EE-Pstate baseline, histograms with
+// percentile queries and burstiness (index of dispersion)
+// measurement.
 //
 // # Paper mapping
 //

@@ -2,44 +2,6 @@ package stats
 
 import "errors"
 
-// EWMA is an exponentially weighted moving average with smoothing
-// factor alpha in (0, 1]. Larger alpha weights recent samples more.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor.
-// It panics if alpha is outside (0, 1]; the factor is a programming
-// constant, not runtime input.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0, 1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds one observation in and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value reports the current average (0 before the first observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one sample has been added.
-func (e *EWMA) Initialized() bool { return e.init }
-
-// Reset discards the average but keeps alpha.
-func (e *EWMA) Reset() { e.value, e.init = 0, false }
-
 // DES is a Double Exponential Smoothing (Holt linear trend) predictor.
 //
 // The EE-Pstate baseline from Iqbal & John ("Efficient Traffic Aware

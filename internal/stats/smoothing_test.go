@@ -3,81 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestEWMAFirstSampleDominates(t *testing.T) {
-	e := NewEWMA(0.3)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA reports initialized")
-	}
-	if got := e.Add(10); got != 10 {
-		t.Errorf("first Add = %v, want 10", got)
-	}
-	if !e.Initialized() {
-		t.Error("EWMA not initialized after first sample")
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.2)
-	for i := 0; i < 200; i++ {
-		e.Add(7.5)
-	}
-	if !almostEqual(e.Value(), 7.5, 1e-9) {
-		t.Errorf("EWMA of constant = %v, want 7.5", e.Value())
-	}
-}
-
-func TestEWMARecurrence(t *testing.T) {
-	e := NewEWMA(0.25)
-	e.Add(4)
-	got := e.Add(8) // 0.25*8 + 0.75*4 = 5
-	if !almostEqual(got, 5, 1e-12) {
-		t.Errorf("EWMA = %v, want 5", got)
-	}
-}
-
-func TestEWMAInvalidAlphaPanics(t *testing.T) {
-	for _, a := range []float64{0, -0.1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
-// Property: EWMA output always lies within the range of inputs seen.
-func TestEWMABounded(t *testing.T) {
-	f := func(raw []float64) bool {
-		e := NewEWMA(0.3)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			e.Add(x)
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		if math.IsInf(lo, 1) {
-			return true // no valid samples
-		}
-		v := e.Value()
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestDESRejectsBadFactors(t *testing.T) {
 	if _, err := NewDES(0, 0.5); err == nil {

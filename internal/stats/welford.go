@@ -89,3 +89,18 @@ func (w *Welford) Merge(other Welford) {
 		w.max = other.max
 	}
 }
+
+// IndexOfDispersion measures burstiness of a series of per-interval
+// event counts: variance/mean. A Poisson process has IoD ≈ 1; bursty
+// (MMPP-like) traffic has IoD > 1; CBR traffic has IoD ≈ 0.
+func IndexOfDispersion(counts []float64) float64 {
+	var w Welford
+	for _, c := range counts {
+		w.Add(c)
+	}
+	m := w.Mean()
+	if m == 0 {
+		return 0
+	}
+	return w.PopVariance() / m
+}

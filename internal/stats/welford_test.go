@@ -145,3 +145,40 @@ func TestWelfordMergeIntoEmpty(t *testing.T) {
 		t.Errorf("merge of empty changed n to %d", a.N())
 	}
 }
+
+func TestIndexOfDispersion(t *testing.T) {
+	// CBR: identical counts, IoD = 0.
+	cbr := []float64{10, 10, 10, 10, 10}
+	if iod := IndexOfDispersion(cbr); iod != 0 {
+		t.Errorf("CBR IoD = %v, want 0", iod)
+	}
+	// Poisson(λ=50): IoD ≈ 1.
+	rng := rand.New(rand.NewSource(11))
+	poisson := make([]float64, 5000)
+	for i := range poisson {
+		// Knuth's algorithm for small λ.
+		l := math.Exp(-50)
+		k, p := 0, 1.0
+		for p > l {
+			k++
+			p *= rng.Float64()
+		}
+		poisson[i] = float64(k - 1)
+	}
+	if iod := IndexOfDispersion(poisson); iod < 0.8 || iod > 1.2 {
+		t.Errorf("Poisson IoD = %v, want ~1", iod)
+	}
+	// Bursty: alternating silence and bursts, IoD >> 1.
+	bursty := make([]float64, 100)
+	for i := range bursty {
+		if i%10 == 0 {
+			bursty[i] = 500
+		}
+	}
+	if iod := IndexOfDispersion(bursty); iod <= 10 {
+		t.Errorf("bursty IoD = %v, want >> 1", iod)
+	}
+	if IndexOfDispersion(nil) != 0 {
+		t.Error("empty IoD should be 0")
+	}
+}
