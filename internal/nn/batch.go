@@ -5,61 +5,106 @@ import "math"
 // This file is the minibatch fast path: ForwardBatch/BackwardBatch
 // process a whole row-major [rows × dim] matrix per call with
 // preallocated, layer-owned scratch buffers (zero allocations once
-// warm) and ILP-friendly unrolled inner kernels. The scalar
+// warm). The forward pass and the input-gradient half of the backward
+// pass are one matrix product each (matmul) over the rows in whole
+// groups of four; the last rows%4 rows use dot. The scalar
 // Forward/Backward path is untouched so single-state inference and
 // gob checkpoints behave exactly as before; the batched path is free
 // to reassociate floating-point sums for speed.
 
-// dot computes the inner product of a and b (len(b) >= len(a)) with
-// four accumulators. The scalar loop `sum += a[i]*b[i]` serializes on
-// the add's floating-point latency; four independent chains keep the
-// FMA pipeline busy, which is where most of the minibatch speedup
-// comes from.
-func dot(a, b []float64) float64 {
+// dot computes Σ a[i]·b[i·stride] (b long enough for len(a) strided
+// reads) with four accumulators. The scalar loop `sum += a[i]*b[i]`
+// serializes on the add's floating-point latency; four independent
+// chains keep the pipeline busy. The stride lets the batched backward
+// read a weight column in place.
+func dot(a, b []float64, stride int) float64 {
 	n := len(a)
-	b = b[:n]
 	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+	i, j := 0, 0
+	for ; i+4 <= n; i, j = i+4, j+4*stride {
+		s0 += a[i] * b[j]
+		s1 += a[i+1] * b[j+stride]
+		s2 += a[i+2] * b[j+2*stride]
+		s3 += a[i+3] * b[j+3*stride]
 	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+	for ; i < n; i, j = i+1, j+stride {
+		s0 += a[i] * b[j]
 	}
 	return (s0 + s1) + (s2 + s3)
 }
 
-// dot4 computes the inner products of w against four input rows at
-// once: the weight row is loaded once per element, and the eight
-// accumulator chains (two per row) saturate both the FP latency and
-// throughput limits of a scalar core.
-func dot4(w, x0, x1, x2, x3 []float64) (r0, r1, r2, r3 float64) {
-	n := len(w)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	var a0, a1, a2, a3, b0, b1, b2, b3 float64
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		w0, w1 := w[i], w[i+1]
-		a0 += w0 * x0[i]
-		b0 += w1 * x0[i+1]
-		a1 += w0 * x1[i]
-		b1 += w1 * x1[i+1]
-		a2 += w0 * x2[i]
-		b2 += w1 * x2[i+1]
-		a3 += w0 * x3[i]
-		b3 += w1 * x3[i+1]
+// matmul computes out[r·ldo+c] = Σ_j x[r·ldx+j]·m[j·ldm+c] for
+// r < rows, c < n, j < k: the [rows × k] matrix x times the [k × n]
+// matrix m, each row-major with its own row stride (ld*). Every output
+// sums in matmulGo's order whichever kernel runs, so the AVX2 kernel
+// and the pure-Go loop agree bit for bit.
+func matmul(out []float64, ldo int, x []float64, ldx int, m []float64, ldm int, rows, k, n int) {
+	if rows <= 0 || n <= 0 {
+		return
 	}
-	if i < n {
-		w0 := w[i]
-		a0 += w0 * x0[i]
-		a1 += w0 * x1[i]
-		a2 += w0 * x2[i]
-		a3 += w0 * x3[i]
+	if k < 0 || ldx < k || ldm < n || ldo < n || len(out) < (rows-1)*ldo+n ||
+		len(x) < (rows-1)*ldx+k || len(m) < (k-1)*ldm+n {
+		panic("nn: matmul operand out of range")
 	}
-	return a0 + b0, a1 + b1, a2 + b2, a3 + b3
+	switch {
+	case k == 0:
+		for r := 0; r < rows; r++ {
+			clear(out[r*ldo : r*ldo+n])
+		}
+	case useSIMD:
+		matmulasm(&out[0], ldo, &x[0], ldx, &m[0], ldm, rows, k, n)
+	default:
+		matmulGo(out, ldo, x, ldx, m, ldm, rows, k, n)
+	}
+}
+
+// matmulGo is the pure-Go matmul and the reference for matmulasm. Each
+// output runs four FMA chains, chain i over the j < k&^3 with
+// j ≡ i (mod 4), reduces them as (l0+l2)+(l1+l3), then FMAs the k&3
+// tail in order.
+func matmulGo(out []float64, ldo int, x []float64, ldx int, m []float64, ldm int, rows, k, n int) {
+	k4 := k &^ 3
+	for r := 0; r < rows; r++ {
+		xr := x[r*ldx : r*ldx+k]
+		outr := out[r*ldo : r*ldo+n]
+		for c := range outr {
+			var l0, l1, l2, l3 float64
+			j := 0
+			for ; j < k4; j += 4 {
+				l0 = math.FMA(xr[j], m[j*ldm+c], l0)
+				l1 = math.FMA(xr[j+1], m[(j+1)*ldm+c], l1)
+				l2 = math.FMA(xr[j+2], m[(j+2)*ldm+c], l2)
+				l3 = math.FMA(xr[j+3], m[(j+3)*ldm+c], l3)
+			}
+			s := (l0 + l2) + (l1 + l3)
+			for ; j < k; j++ {
+				s = math.FMA(xr[j], m[j*ldm+c], s)
+			}
+			outr[c] = s
+		}
+	}
+}
+
+// transpose writes the row-major [rows × cols] matrix src into dst as
+// its [cols × rows] transpose. It reads src eight columns (one cache
+// line) at a time and writes eight dst rows, each contiguously.
+func transpose(dst, src []float64, rows, cols int) {
+	dst = dst[:rows*cols]
+	c := 0
+	for ; c+8 <= cols; c += 8 {
+		d := dst[c*rows : (c+8)*rows]
+		for r := 0; r < rows; r++ {
+			s := src[r*cols+c : r*cols+c+8]
+			d[r], d[rows+r], d[2*rows+r], d[3*rows+r] = s[0], s[1], s[2], s[3]
+			d[4*rows+r], d[5*rows+r], d[6*rows+r], d[7*rows+r] = s[4], s[5], s[6], s[7]
+		}
+	}
+	for ; c < cols; c++ {
+		d := dst[c*rows : (c+1)*rows]
+		for r := range d {
+			d[r] = src[r*cols+c]
+		}
+	}
 }
 
 // axpy computes y += alpha*x. The iterations are independent, so the
@@ -69,15 +114,6 @@ func axpy(alpha float64, x, y []float64) {
 	for i, xv := range x {
 		y[i] += alpha * xv
 	}
-}
-
-// dot4rows dispatches the four-row dot product to the AVX2 kernel
-// when available.
-func dot4rows(w, x0, x1, x2, x3 []float64) (float64, float64, float64, float64) {
-	if useSIMD {
-		return dot4asm(&w[0], &x0[0], &x1[0], &x2[0], &x3[0], len(w))
-	}
-	return dot4(w, x0, x1, x2, x3)
 }
 
 // axpyFast dispatches y += alpha*x to the AVX2 kernel when available.
@@ -163,26 +199,30 @@ func (d *Dense) ForwardBatch(x []float64, rows int) []float64 {
 	d.bz = grow(d.bz, rows*d.Out)
 	d.by = grow(d.by, rows*d.Out)
 	copy(d.bx, x[:rows*d.In])
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		x0 := d.bx[r*d.In : (r+1)*d.In]
-		x1 := d.bx[(r+1)*d.In : (r+2)*d.In]
-		x2 := d.bx[(r+2)*d.In : (r+3)*d.In]
-		x3 := d.bx[(r+3)*d.In : (r+4)*d.In]
-		for o := 0; o < d.Out; o++ {
-			s0, s1, s2, s3 := dot4rows(d.W[o*d.In:(o+1)*d.In], x0, x1, x2, x3)
-			b := d.B[o]
-			d.bz[r*d.Out+o] = b + s0
-			d.bz[(r+1)*d.Out+o] = b + s1
-			d.bz[(r+2)*d.Out+o] = b + s2
-			d.bz[(r+3)*d.Out+o] = b + s3
+	r4 := rows &^ 3
+	if r4 > 0 {
+		// Z = X·Wᵀ + b, eight output columns at a time: the panel's
+		// eight rows of W are packed transposed into wt ([In × 8],
+		// contiguous), which matmul then streams from L1 for every row.
+		d.wt = grow(d.wt, d.In*min(8, d.Out))
+		for c := 0; c < d.Out; c += 8 {
+			w := min(8, d.Out-c)
+			transpose(d.wt, d.W[c*d.In:(c+w)*d.In], w, d.In)
+			matmul(d.bz[c:], d.Out, d.bx, d.In, d.wt, w, r4, d.In, w)
+		}
+		for r := 0; r < r4; r++ {
+			zr := d.bz[r*d.Out : (r+1)*d.Out]
+			b := d.B[:len(zr)]
+			for o, s := range zr {
+				zr[o] = b[o] + s
+			}
 		}
 	}
-	for ; r < rows; r++ {
+	for r := r4; r < rows; r++ {
 		xr := d.bx[r*d.In : (r+1)*d.In]
 		zr := d.bz[r*d.Out : (r+1)*d.Out]
-		for o := 0; o < d.Out; o++ {
-			zr[o] = d.B[o] + dot(d.W[o*d.In:(o+1)*d.In], xr)
+		for o := range zr {
+			zr[o] = d.B[o] + dot(d.W[o*d.In:(o+1)*d.In], xr, 1)
 		}
 	}
 	applyBatch(d.Act, d.bz, d.by)
@@ -221,36 +261,16 @@ func (d *Dense) backwardBatch(dY []float64, rows int, needDX, needParams bool) [
 	if !needDX {
 		return nil
 	}
-	// dX = dz × W, computed against a transposed weight copy so each
-	// dX element is a contiguous dot product (dot4 ILP) instead of a
-	// strided read-modify-write accumulation.
-	d.wt = grow(d.wt, d.In*d.Out)
-	for o := 0; o < d.Out; o++ {
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, w := range row {
-			d.wt[i*d.Out+o] = w
-		}
-	}
+	// dX = dZ·W, with W ([Out × In]) read in place: its rows are
+	// already laid out along dX's columns.
 	d.bdx = grow(d.bdx, rows*d.In)
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		dz0 := d.bdz[r*d.Out : (r+1)*d.Out]
-		dz1 := d.bdz[(r+1)*d.Out : (r+2)*d.Out]
-		dz2 := d.bdz[(r+2)*d.Out : (r+3)*d.Out]
-		dz3 := d.bdz[(r+3)*d.Out : (r+4)*d.Out]
-		for i := 0; i < d.In; i++ {
-			s0, s1, s2, s3 := dot4rows(d.wt[i*d.Out:(i+1)*d.Out], dz0, dz1, dz2, dz3)
-			d.bdx[r*d.In+i] = s0
-			d.bdx[(r+1)*d.In+i] = s1
-			d.bdx[(r+2)*d.In+i] = s2
-			d.bdx[(r+3)*d.In+i] = s3
-		}
-	}
-	for ; r < rows; r++ {
+	r4 := rows &^ 3
+	matmul(d.bdx, d.In, d.bdz, d.Out, d.W, d.In, r4, d.Out, d.In)
+	for r := r4; r < rows; r++ {
 		dzr := d.bdz[r*d.Out : (r+1)*d.Out]
 		dxr := d.bdx[r*d.In : (r+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			dxr[i] = dot(dzr, d.wt[i*d.Out:(i+1)*d.Out])
+		for i := range dxr {
+			dxr[i] = dot(dzr, d.W[i:], d.In)
 		}
 	}
 	return d.bdx

@@ -212,7 +212,7 @@ func TestDotKernel(t *testing.T) {
 			b[i] = rng.NormFloat64()
 			want += a[i] * b[i]
 		}
-		if got := dot(a, b); math.Abs(got-want) > 1e-9 {
+		if got := dot(a, b, 1); math.Abs(got-want) > 1e-9 {
 			t.Errorf("dot len %d = %v, want %v", n, got, want)
 		}
 	}

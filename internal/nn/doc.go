@@ -17,14 +17,16 @@
 // the following backward pass, and batch passes reuse layer-owned
 // scratch. Give each concurrent user its own Clone. Initialization
 // and training are deterministic given the seed on a fixed CPU
-// feature set: the hot kernels (dot, axpy, Adam, soft-update) have
-// AVX2+FMA assembly variants, CPUID-gated with a pure-Go fallback,
-// and FMA contraction rounds differently than the scalar code — so
-// results are reproducible on a given machine but may differ in the
-// last bits across machines with different vector support. The
-// batch passes (ForwardBatch, BackwardBatch and its Params/Input
-// variants) allocate nothing in steady state; scalar Backward is also
-// allocation-free.
+// feature set: the hot kernels (matmul, axpy, Adam, soft-update) have
+// AVX2+FMA assembly variants, CPUID-gated with a pure-Go fallback.
+// matmul — the batched forward and input-gradient product — sums each
+// output in one fixed FMA order in both variants, so its results do
+// not depend on the CPU. The pure-Go axpy and dot loops may round each
+// product before adding, so parameter gradients, and the rows a batch
+// leaves over after its groups of four, may differ in the last bits
+// across machines with different vector support. The batch passes
+// (ForwardBatch, BackwardBatch and its Params/Input variants) allocate
+// nothing in steady state; scalar Backward is also allocation-free.
 //
 // # Precision
 //

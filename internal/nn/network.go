@@ -87,8 +87,8 @@ type Dense struct {
 	// dx is the reusable scalar-Backward output buffer.
 	dx []float64
 	// batch-path caches and scratch (see batch.go), lazily sized to
-	// the largest minibatch seen; wt is the transposed weight copy
-	// the batched backward uses for input gradients.
+	// the largest minibatch seen; wt holds the eight rows of W that
+	// ForwardBatch packs, transposed, for one matmul panel.
 	bx, bz, by, bdz, bdx, wt []float64
 }
 
@@ -364,29 +364,41 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The blob
+// may come off the wire (Ape-X parameter sync), so every shape is
+// checked against the weights it carries before anything is sized
+// from it; on error the network is left unchanged.
 func (n *Network) UnmarshalBinary(data []byte) error {
 	var st netState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	if len(st.Sizes) < 2 || len(st.Acts) != len(st.Sizes)-1 {
+	nl := len(st.Sizes) - 1
+	if nl < 1 || len(st.Acts) != nl || len(st.W) != nl || len(st.B) != nl {
 		return errors.New("nn: corrupt network state")
 	}
-	n.layers = nil
-	n.pSlices, n.gSlices = nil, nil
-	for i := 0; i < len(st.Sizes)-1; i++ {
+	for _, s := range st.Sizes {
+		if s <= 0 {
+			return fmt.Errorf("nn: corrupt network state: layer size %d", s)
+		}
+	}
+	layers := make([]*Dense, 0, nl)
+	for i := 0; i < nl; i++ {
 		in, out := st.Sizes[i], st.Sizes[i+1]
-		if len(st.W[i]) != in*out || len(st.B[i]) != out {
+		if in > math.MaxInt/out || len(st.W[i]) != in*out || len(st.B[i]) != out {
 			return errors.New("nn: corrupt layer state")
 		}
-		l := &Dense{
+		if st.Acts[i] < Linear || st.Acts[i] > Sigmoid {
+			return fmt.Errorf("nn: corrupt layer state: %v", st.Acts[i])
+		}
+		layers = append(layers, &Dense{
 			In: in, Out: out, Act: st.Acts[i],
 			W: append([]float64(nil), st.W[i]...), B: append([]float64(nil), st.B[i]...),
 			dW: make([]float64, in*out), dB: make([]float64, out),
 			x: make([]float64, in), z: make([]float64, out), y: make([]float64, out),
-		}
-		n.layers = append(n.layers, l)
+		})
 	}
+	n.layers = layers
+	n.pSlices, n.gSlices = nil, nil
 	return nil
 }

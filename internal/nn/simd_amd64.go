@@ -5,7 +5,7 @@ package nn
 // Assembly kernel declarations (simd_amd64.s).
 
 //go:noescape
-func dot4asm(w, x0, x1, x2, x3 *float64, n int) (s0, s1, s2, s3 float64)
+func matmulasm(out *float64, ldo int, x *float64, ldx int, m *float64, ldm int, rows, k, n int)
 
 //go:noescape
 func axpyasm(alpha float64, x, y *float64, n int)

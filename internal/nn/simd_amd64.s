@@ -23,79 +23,228 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func dot4asm(w, x0, x1, x2, x3 *float64, n int) (s0, s1, s2, s3 float64)
+// func matmulasm(out *float64, ldo int, x *float64, ldx int, m *float64, ldm int, rows, k, n int)
 //
-// Four simultaneous dot products of one weight row against four input
-// rows: the weight vector is loaded once per 4 elements and feeds four
-// independent FMA accumulator chains.
-TEXT ·dot4asm(SB), NOSPLIT, $0-80
-	MOVQ w+0(FP), SI
-	MOVQ x0+8(FP), R8
-	MOVQ x1+16(FP), R9
-	MOVQ x2+24(FP), R10
-	MOVQ x3+32(FP), R11
-	MOVQ n+40(FP), CX
+// out[r·ldo+c] = Σ_j x[r·ldx+j]·m[j·ldm+c] for r < rows, c < n, j < k,
+// vectorized over the output column c. Each output keeps the
+// summation order of matmulGo (batch.go) bit for bit: four residue
+// FMA chains over j < k&^3 (chain i takes j ≡ i mod 4), reduced as
+// (l0+l2)+(l1+l3), then the k&3 tail FMA'd in order. Lane-wise that is
+// plain vertical arithmetic, so no horizontal adds are needed.
+//
+// Columns go in 8-wide panels (eight accumulators: four chains × two
+// vectors), then one 4-wide block, then single columns. The panel loop
+// is outside the row loop so one panel of m stays in L1 while every
+// row streams past it. Callers guarantee rows ≥ 1, k ≥ 1, n ≥ 1 and
+// in-bounds strides (matmul checks them).
+//
+// Registers: R10/R12 walk m/out by column block; SI walks x (R9 is the
+// gap from a row's end to the next row's start), DI walks m down a
+// block, DX is the current out row. R11 = ldm and BX = 3·ldm in bytes,
+// R13 = ldo in bytes; AX counts blocks, R8 rows and CX the k loop.
+TEXT ·matmulasm(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), R12
+	MOVQ ldo+8(FP), R13
+	SHLQ $3, R13
+	MOVQ ldx+24(FP), R9
+	SUBQ k+56(FP), R9
+	SHLQ $3, R9
+	MOVQ m+32(FP), R10
+	MOVQ ldm+40(FP), R11
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), BX
+	MOVQ n+64(FP), AX
+	SHRQ $3, AX
+	JZ   mm4
+
+mm8panel:
+	MOVQ x+16(FP), SI
+	MOVQ R12, DX
+	MOVQ rows+48(FP), R8
+
+mm8row:
+	MOVQ R10, DI
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   reduce
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ k+56(FP), CX
+	SHRQ $2, CX
+	JZ   mm8reduce
 
-vloop:
-	VMOVUPD (SI), Y4
-	VFMADD231PD (R8), Y4, Y0
-	VFMADD231PD (R9), Y4, Y1
-	VFMADD231PD (R10), Y4, Y2
-	VFMADD231PD (R11), Y4, Y3
+mm8k:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD 8(SI), Y9
+	VBROADCASTSD 16(SI), Y10
+	VBROADCASTSD 24(SI), Y11
+	VFMADD231PD (DI), Y8, Y0
+	VFMADD231PD 32(DI), Y8, Y4
+	VFMADD231PD (DI)(R11*1), Y9, Y1
+	VFMADD231PD 32(DI)(R11*1), Y9, Y5
+	VFMADD231PD (DI)(R11*2), Y10, Y2
+	VFMADD231PD 32(DI)(R11*2), Y10, Y6
+	VFMADD231PD (DI)(BX*1), Y11, Y3
+	VFMADD231PD 32(DI)(BX*1), Y11, Y7
 	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ DX
-	JNZ  vloop
-
-reduce:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPD  X5, X0, X0
-	VHADDPD X0, X0, X0
-	VEXTRACTF128 $1, Y1, X5
-	VADDPD  X5, X1, X1
-	VHADDPD X1, X1, X1
-	VEXTRACTF128 $1, Y2, X5
-	VADDPD  X5, X2, X2
-	VHADDPD X2, X2, X2
-	VEXTRACTF128 $1, Y3, X5
-	VADDPD  X5, X3, X3
-	VHADDPD X3, X3, X3
-	ANDQ $3, CX
-	JZ   done
-
-stail:
-	VMOVSD (SI), X4
-	VMOVSD (R8), X5
-	VFMADD231SD X5, X4, X0
-	VMOVSD (R9), X5
-	VFMADD231SD X5, X4, X1
-	VMOVSD (R10), X5
-	VFMADD231SD X5, X4, X2
-	VMOVSD (R11), X5
-	VFMADD231SD X5, X4, X3
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
+	LEAQ (DI)(R11*4), DI
 	DECQ CX
-	JNZ  stail
+	JNZ  mm8k
 
-done:
-	VMOVSD X0, s0+48(FP)
-	VMOVSD X1, s1+56(FP)
-	VMOVSD X2, s2+64(FP)
-	VMOVSD X3, s3+72(FP)
+mm8reduce:
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	VADDPD Y1, Y0, Y0
+	VADDPD Y6, Y4, Y4
+	VADDPD Y7, Y5, Y5
+	VADDPD Y5, Y4, Y4
+	MOVQ k+56(FP), CX
+	ANDQ $3, CX
+	JZ   mm8store
+
+mm8tail:
+	VBROADCASTSD (SI), Y8
+	VFMADD231PD (DI), Y8, Y0
+	VFMADD231PD 32(DI), Y8, Y4
+	ADDQ $8, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  mm8tail
+
+mm8store:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y4, 32(DX)
+	ADDQ R9, SI
+	ADDQ R13, DX
+	DECQ R8
+	JNZ  mm8row
+	ADDQ $64, R10
+	ADDQ $64, R12
+	DECQ AX
+	JNZ  mm8panel
+
+mm4:
+	MOVQ n+64(FP), AX
+	TESTQ $4, AX
+	JZ   mm1
+	MOVQ x+16(FP), SI
+	MOVQ R12, DX
+	MOVQ rows+48(FP), R8
+
+mm4row:
+	MOVQ R10, DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ k+56(FP), CX
+	SHRQ $2, CX
+	JZ   mm4reduce
+
+mm4k:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD 8(SI), Y9
+	VBROADCASTSD 16(SI), Y10
+	VBROADCASTSD 24(SI), Y11
+	VFMADD231PD (DI), Y8, Y0
+	VFMADD231PD (DI)(R11*1), Y9, Y1
+	VFMADD231PD (DI)(R11*2), Y10, Y2
+	VFMADD231PD (DI)(BX*1), Y11, Y3
+	ADDQ $32, SI
+	LEAQ (DI)(R11*4), DI
+	DECQ CX
+	JNZ  mm4k
+
+mm4reduce:
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	VADDPD Y1, Y0, Y0
+	MOVQ k+56(FP), CX
+	ANDQ $3, CX
+	JZ   mm4store
+
+mm4tail:
+	VBROADCASTSD (SI), Y8
+	VFMADD231PD (DI), Y8, Y0
+	ADDQ $8, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  mm4tail
+
+mm4store:
+	VMOVUPD Y0, (DX)
+	ADDQ R9, SI
+	ADDQ R13, DX
+	DECQ R8
+	JNZ  mm4row
+	ADDQ $32, R10
+	ADDQ $32, R12
+
+mm1:
+	MOVQ n+64(FP), AX
+	ANDQ $3, AX
+	JZ   mmdone
+
+mm1col:
+	MOVQ x+16(FP), SI
+	MOVQ R12, DX
+	MOVQ rows+48(FP), R8
+
+mm1row:
+	MOVQ R10, DI
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	MOVQ k+56(FP), CX
+	SHRQ $2, CX
+	JZ   mm1reduce
+
+mm1k:
+	VMOVSD (SI), X8
+	VMOVSD 8(SI), X9
+	VMOVSD 16(SI), X10
+	VMOVSD 24(SI), X11
+	VFMADD231SD (DI), X8, X0
+	VFMADD231SD (DI)(R11*1), X9, X1
+	VFMADD231SD (DI)(R11*2), X10, X2
+	VFMADD231SD (DI)(BX*1), X11, X3
+	ADDQ $32, SI
+	LEAQ (DI)(R11*4), DI
+	DECQ CX
+	JNZ  mm1k
+
+mm1reduce:
+	VADDSD X2, X0, X0
+	VADDSD X3, X1, X1
+	VADDSD X1, X0, X0
+	MOVQ k+56(FP), CX
+	ANDQ $3, CX
+	JZ   mm1store
+
+mm1tail:
+	VMOVSD (SI), X8
+	VFMADD231SD (DI), X8, X0
+	ADDQ $8, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  mm1tail
+
+mm1store:
+	VMOVSD X0, (DX)
+	ADDQ R9, SI
+	ADDQ R13, DX
+	DECQ R8
+	JNZ  mm1row
+	ADDQ $8, R10
+	ADDQ $8, R12
+	DECQ AX
+	JNZ  mm1col
+
+mmdone:
 	VZEROUPPER
 	RET
 

@@ -6,7 +6,7 @@ package nn
 // var (always false here) so tests that toggle it compile everywhere.
 var useSIMD = false
 
-func dot4asm(w, x0, x1, x2, x3 *float64, n int) (s0, s1, s2, s3 float64) {
+func matmulasm(out *float64, ldo int, x *float64, ldx int, m *float64, ldm int, rows, k, n int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 

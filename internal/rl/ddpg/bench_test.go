@@ -11,17 +11,24 @@ import (
 // GreenNFV problem size (12-dim state, 15-dim action, 48×48 hidden,
 // batch 32) with a warm replay buffer. The steady state should not
 // allocate.
-func BenchmarkAgentLearn(b *testing.B) {
-	cfg := DefaultConfig(12, 15)
+func BenchmarkAgentLearn(b *testing.B) { benchLearn(b, 12, 15) }
+
+// BenchmarkAgentLearnCluster is BenchmarkAgentLearn at the FigCluster
+// cell's dimensions (8 nodes, six chains: 128-dim state, 128-dim
+// action), whose rows are ~8x wider.
+func BenchmarkAgentLearnCluster(b *testing.B) { benchLearn(b, 128, 128) }
+
+func benchLearn(b *testing.B, stateDim, actionDim int) {
+	cfg := DefaultConfig(stateDim, actionDim)
 	a, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 4*cfg.BatchSize; i++ {
-		s := make([]float64, 12)
-		act := make([]float64, 15)
-		ns := make([]float64, 12)
+		s := make([]float64, stateDim)
+		act := make([]float64, actionDim)
+		ns := make([]float64, stateDim)
 		for j := range s {
 			s[j] = rng.NormFloat64()
 			ns[j] = rng.NormFloat64()
